@@ -2,7 +2,7 @@
 //! speculative width probes vs the scalar gate-by-gate path, on
 //! Rent's-rule synthetic netlists from 100k to 1M gates.
 //!
-//! Three measurements per size:
+//! Two measurements per size:
 //!
 //! * **dense pass** — one full `timing_into` + `total_energy` sweep,
 //!   [`SoaKernel`](minpower_models::SoaKernel) vs
@@ -13,16 +13,12 @@
 //!   tests). The batched path bisects each gate against hoisted
 //!   per-lane constants, so the transcendental work (`powf`, `exp`) is
 //!   paid once per gate per sweep instead of once per probe — this is
-//!   the number the >= 2x acceptance target applies to;
-//! * **end-to-end sizing** — the complete Procedure 2 inner stage
-//!   (`size_at_with`) with `--soa` (the default) vs `--no-soa`,
-//!   reported for the Amdahl view: the stage also pays budget
-//!   assignment and the critical-path repair loop, which are identical
-//!   on both paths and dominate as netlists grow.
+//!   the number the >= 2x acceptance target applies to.
 //!
 //! Both paths are bit-identical by contract; every run here asserts it
-//! on the actual results (widths, energy, critical delay) rather than
-//! trusting the flag.
+//! on the actual results (critical delay, widths). End-to-end sizing,
+//! which runs only the batched path, is measured by the perfbench
+//! `rent_sizing` workload.
 //!
 //! Run with:
 //!
@@ -36,19 +32,17 @@
 //! ```
 
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 use minpower_circuits::{synthesize, BenchmarkSpec};
 use minpower_core::budget::{assign_max_delays_with_policy, BudgetPolicy};
 use minpower_core::json::{self, Value};
-use minpower_core::search::size_at_with;
-use minpower_core::{EvalContext, OptimizationResult, Problem, SearchOptions};
+use minpower_core::Problem;
 use minpower_models::{CircuitModel, Design, SizeScratch, SoaKernel};
 use minpower_netlist::{GateKind, Netlist};
 
 /// Fixed mid-range operating point where the width bisections do
-/// substantial work (cf. `incremental_sta`).
+/// substantial work.
 const VDD: f64 = 2.5;
 const VT: f64 = 0.45;
 /// Switching activity for the workload problems.
@@ -72,8 +66,6 @@ struct Row {
     dense_soa: f64,
     probe_serial: f64,
     probe_batched: f64,
-    sizing_serial: f64,
-    sizing_batched: f64,
 }
 
 impl Row {
@@ -82,9 +74,6 @@ impl Row {
     }
     fn probe_speedup(&self) -> f64 {
         self.probe_serial / self.probe_batched.max(1e-12)
-    }
-    fn sizing_speedup(&self) -> f64 {
-        self.sizing_serial / self.sizing_batched.max(1e-12)
     }
 }
 
@@ -203,52 +192,7 @@ fn time_probes(
     (best, widths)
 }
 
-/// Best-of-`iters` wall time for one full sizing call on a fresh
-/// single-thread, cache-off context (every probe really computed).
-fn time_sizing(problem: &Problem, soa: bool, iters: usize) -> (f64, OptimizationResult) {
-    let opts = SearchOptions::default();
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..iters {
-        let ctx = Arc::new(EvalContext::new(1, 0).with_soa(soa));
-        let t0 = Instant::now();
-        let r = size_at_with(ctx, problem, VDD, VT, &opts).expect("rent netlist sizes");
-        best = best.min(t0.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (best, result.expect("at least one iteration"))
-}
-
-/// Asserts the batched and serial sizing results are bitwise equal —
-/// the bench-level divergence check (release builds skip the in-sweep
-/// debug cross-check, so this is the one that guards CI).
-fn assert_bit_identical(gates: usize, batched: &OptimizationResult, serial: &OptimizationResult) {
-    assert_eq!(
-        batched.critical_delay.to_bits(),
-        serial.critical_delay.to_bits(),
-        "batched critical delay diverged at {gates} gates"
-    );
-    assert_eq!(
-        batched.energy.total().to_bits(),
-        serial.energy.total().to_bits(),
-        "batched energy diverged at {gates} gates"
-    );
-    for (i, (a, b)) in batched
-        .design
-        .width
-        .iter()
-        .zip(serial.design.width.iter())
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "batched width diverged at gate {i} of the {gates}-gate netlist"
-        );
-    }
-}
-
-fn measure(gates: usize, iters: usize, sizing_iters: usize) -> Row {
+fn measure(gates: usize, iters: usize) -> Row {
     let netlist = rent_netlist(gates);
     let problem = minpower_bench::problem_for(&netlist, ACTIVITY);
     let model = problem.model();
@@ -296,10 +240,6 @@ fn measure(gates: usize, iters: usize, sizing_iters: usize) -> Row {
         );
     }
 
-    let (sizing_serial, serial) = time_sizing(&problem, false, sizing_iters);
-    let (sizing_batched, batched) = time_sizing(&problem, true, sizing_iters);
-    assert_bit_identical(gates, &batched, &serial);
-
     Row {
         gates,
         depth,
@@ -307,8 +247,6 @@ fn measure(gates: usize, iters: usize, sizing_iters: usize) -> Row {
         dense_soa,
         probe_serial,
         probe_batched,
-        sizing_serial,
-        sizing_batched,
     }
 }
 
@@ -354,32 +292,22 @@ fn check_committed_baseline(path: &Path) {
 
 fn main() {
     let smoke = minpower_bench::smoke_mode();
-    let (sizes, iters, sizing_iters): (Vec<usize>, usize, usize) = if smoke {
-        (vec![4_000], 2, 1)
+    let (sizes, iters): (Vec<usize>, usize) = if smoke {
+        (vec![4_000], 2)
     } else {
-        (vec![100_000, 300_000, 1_000_000], 2, 1)
+        (vec![100_000, 300_000, 1_000_000], 2)
     };
 
     println!("== SoA levelized kernel vs scalar path (vdd {VDD} V, vt {VT} V) ==");
     println!(
-        "{:>9} {:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8}",
-        "gates",
-        "depth",
-        "dense (s)",
-        "soa (s)",
-        "speedup",
-        "serial (s)",
-        "batched (s)",
-        "speedup",
-        "e2e ser(s)",
-        "e2e bat(s)",
-        "speedup"
+        "{:>9} {:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8}",
+        "gates", "depth", "dense (s)", "soa (s)", "speedup", "serial (s)", "batched (s)", "speedup"
     );
     let mut rows = Vec::new();
     for &gates in &sizes {
-        let row = measure(gates, iters, sizing_iters);
+        let row = measure(gates, iters);
         println!(
-            "{:>9} {:>6} {:>11.6} {:>11.6} {:>7.2}x {:>11.4} {:>11.4} {:>7.2}x {:>11.4} {:>11.4} {:>7.2}x",
+            "{:>9} {:>6} {:>11.6} {:>11.6} {:>7.2}x {:>11.4} {:>11.4} {:>7.2}x",
             row.gates,
             row.depth,
             row.dense_scalar,
@@ -388,9 +316,6 @@ fn main() {
             row.probe_serial,
             row.probe_batched,
             row.probe_speedup(),
-            row.sizing_serial,
-            row.sizing_batched,
-            row.sizing_speedup(),
         );
         rows.push(row);
     }
@@ -458,18 +383,6 @@ fn main() {
                                 Value::Float(r.probe_batched),
                             ),
                             ("probe_speedup".to_string(), Value::Float(r.probe_speedup())),
-                            (
-                                "sizing_serial_secs".to_string(),
-                                Value::Float(r.sizing_serial),
-                            ),
-                            (
-                                "sizing_batched_secs".to_string(),
-                                Value::Float(r.sizing_batched),
-                            ),
-                            (
-                                "sizing_speedup".to_string(),
-                                Value::Float(r.sizing_speedup()),
-                            ),
                         ])
                     })
                     .collect(),

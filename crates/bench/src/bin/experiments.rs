@@ -8,9 +8,7 @@
 //! ```
 //!
 //! `--threads <n>` sets the engine's worker count (default: all cores);
-//! `--no-cache` disables probe memoization; `--no-incremental` forces
-//! dense recomputation in the width-sizing loops (bit-identical results,
-//! for benchmarking the incremental layer). Engine telemetry prints
+//! `--no-cache` disables probe memoization. Engine telemetry prints
 //! after the experiments.
 
 use std::fmt::Write as _;
@@ -43,10 +41,7 @@ fn main() {
     } else {
         minpower_core::context::DEFAULT_CACHE_CAPACITY
     };
-    let incremental = !args.iter().any(|a| a == "--no-incremental");
-    minpower_core::EvalContext::install(
-        minpower_core::EvalContext::new(threads, capacity).with_incremental(incremental),
-    );
+    minpower_core::EvalContext::install(minpower_core::EvalContext::new(threads, capacity));
     let cmd = args
         .iter()
         .find(|a| {
@@ -102,7 +97,7 @@ fn main() {
                 "unknown experiment `{other}`; available: table1 table2 fig2a fig2b anneal \
                  multi-vt ablation-budget validate body-bias short-circuit activity-error \
                  ring scaling pareto temperature glitch yield sizing all \
-                 (flags: --fast, --csv <path>, --threads <n>, --no-cache, --no-incremental)"
+                 (flags: --fast, --csv <path>, --threads <n>, --no-cache)"
             );
             std::process::exit(2);
         }

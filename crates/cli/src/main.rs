@@ -252,11 +252,7 @@ fn print_usage() {
          \x20 minpower suite\n\
          \n\
          engine flags (any command): --threads N (default: all cores),\n\
-         \x20 --no-cache (disable probe memoization),\n\
-         \x20 --no-incremental (dense recomputation in the sizing loops;\n\
-         \x20 bit-identical results, diagnostic/benchmark use),\n\
-         \x20 --no-soa (scalar gate-by-gate width sweeps instead of the\n\
-         \x20 batched SoA kernel; bit-identical results)\n\
+         \x20 --no-cache (disable probe memoization)\n\
          \n\
          run control (optimize): --time-limit SECS stops the search at the\n\
          \x20 next probe once the soft deadline passes; Ctrl-C stops the same\n\
@@ -274,10 +270,8 @@ fn print_usage() {
 }
 
 /// Installs the process-wide evaluation engine from the global
-/// `--threads` / `--no-cache` / `--no-incremental` / `--no-soa` flags.
-/// Must run before
-/// the first optimization — the first probe materializes the default
-/// context.
+/// `--threads` / `--no-cache` flags. Must run before the first
+/// optimization — the first probe materializes the default context.
 fn install_engine(flags: &Flags<'_>) -> Result<(), String> {
     let threads = flags.get_usize("--threads", minpower::opt::context::default_threads())?;
     if threads == 0 {
@@ -288,11 +282,7 @@ fn install_engine(flags: &Flags<'_>) -> Result<(), String> {
     } else {
         minpower::opt::context::DEFAULT_CACHE_CAPACITY
     };
-    minpower::EvalContext::install(
-        minpower::EvalContext::new(threads, capacity)
-            .with_incremental(!flags.has("--no-incremental"))
-            .with_soa(!flags.has("--no-soa")),
-    );
+    minpower::EvalContext::install(minpower::EvalContext::new(threads, capacity));
     Ok(())
 }
 
@@ -308,10 +298,10 @@ struct Flags<'a> {
 }
 
 /// Flags that take no value; every other `--flag` consumes one token.
-const BOOLEAN_FLAGS: &[&str] = &["--no-cache", "--no-incremental", "--no-soa", "--worker"];
+const BOOLEAN_FLAGS: &[&str] = &["--no-cache", "--worker"];
 
 /// Evaluation-engine flags accepted by every command.
-const ENGINE_FLAGS: &[&str] = &["--threads", "--no-cache", "--no-incremental", "--no-soa"];
+const ENGINE_FLAGS: &[&str] = &["--threads", "--no-cache"];
 
 fn flag_takes_value(flag: &str) -> bool {
     !BOOLEAN_FLAGS.contains(&flag)
@@ -923,4 +913,35 @@ fn convert(args: &[String]) -> Result<(), CliError> {
         netlist.outputs().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn reject_unknown_accepts_known_and_engine_flags() {
+        let a = args(&["s27", "--time-limit", "5", "--threads", "2", "--no-cache"]);
+        assert_eq!(Flags::new(&a).reject_unknown(&["--time-limit"]), Ok(()));
+    }
+
+    #[test]
+    fn reject_unknown_reports_typos_and_removed_flags() {
+        // A typo, and the flags that once selected the removed scalar
+        // sweep and dense repair paths.
+        let removed = ["soa", "incremental"].map(|path| format!("--no-{path}"));
+        for flag in std::iter::once("--time-limt").chain(removed.iter().map(String::as_str)) {
+            let a = args(&["s27", flag]);
+            let err = Flags::new(&a)
+                .reject_unknown(&["--time-limit"])
+                .expect_err(flag);
+            assert_eq!(err, format!("unknown flag `{flag}` (try `minpower help`)"));
+            // `?` in a command turns it into the usage error (exit 2).
+            assert!(matches!(CliError::from(err), CliError::Usage(_)));
+        }
+    }
 }

@@ -40,8 +40,6 @@ pub struct EvalContext {
     cache: Option<EvalCache<Sized>>,
     quantizer: Quantizer,
     stats: Arc<EngineStats>,
-    incremental: bool,
-    soa: bool,
     /// Probe journal for checkpointing: every distinct probe completed
     /// since [`EvalContext::enable_probe_journal`], in completion order.
     journal: Mutex<Option<Journal>>,
@@ -66,8 +64,6 @@ impl std::fmt::Debug for EvalContext {
                 "cache_capacity",
                 &self.cache.as_ref().map(EvalCache::capacity),
             )
-            .field("incremental", &self.incremental)
-            .field("soa", &self.soa)
             .finish()
     }
 }
@@ -94,44 +90,9 @@ impl EvalContext {
             cache: (cache_capacity > 0).then(|| EvalCache::new(cache_capacity)),
             quantizer: Quantizer::default(),
             stats: Arc::new(EngineStats::new()),
-            incremental: true,
-            soa: true,
             journal: Mutex::new(None),
             probe_seq: AtomicU64::new(0),
         }
-    }
-
-    /// Enables or disables the incremental timing/energy fast path of the
-    /// width-sizing inner loops (the CLI's `--no-incremental` escape
-    /// hatch). The two paths are bit-identical — this toggles *how* a
-    /// probe is computed, never its result — so the flag deliberately does
-    /// **not** enter the probe-cache salt.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Whether the width-sizing loops use the incremental evaluation
-    /// layer (default `true`).
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Enables or disables the levelized structure-of-arrays kernel with
-    /// batched width probes in the sizing sweeps (the CLI's `--no-soa`
-    /// escape hatch). Like `incremental`, the SoA and scalar paths are
-    /// bit-identical — this toggles *how* a probe is computed, never its
-    /// result — so the flag deliberately does **not** enter the
-    /// probe-cache salt.
-    pub fn with_soa(mut self, soa: bool) -> Self {
-        self.soa = soa;
-        self
-    }
-
-    /// Whether the width-sizing sweeps run on the batched SoA kernel
-    /// (default `true`).
-    pub fn soa(&self) -> bool {
-        self.soa
     }
 
     /// The process-wide context. First use materializes the default

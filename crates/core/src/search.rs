@@ -27,12 +27,11 @@ use std::sync::Arc;
 use minpower_engine::stats::Phase;
 use minpower_models::{CircuitModel, Design, EnergyBreakdown, SizeScratch, SoaKernel};
 use minpower_netlist::{GateId, GateKind, Netlist};
-use minpower_timing::incremental::{sink_critical, virtual_sinks};
 
 use crate::checkpoint::{Checkpoint, CheckpointSpec};
 use crate::context::EvalContext;
 use crate::error::OptimizeError;
-use crate::incremental::{arrivals_into, IncrementalEval};
+use crate::incremental::IncrementalEval;
 use crate::problem::Problem;
 use crate::result::OptimizationResult;
 use crate::runctl::{RunControl, TripReason};
@@ -195,8 +194,7 @@ pub(crate) struct Sizer<'a> {
     ctx: Arc<EvalContext>,
     salt: u64,
     /// Levelized SoA evaluation kernel for the width sweeps, built once
-    /// per sizer when the context enables it. `None` routes every sweep
-    /// through the scalar gate-by-gate path.
+    /// per budgeted sizer (`None` for greedy sizing, which never sweeps).
     soa: Option<SoaKernel>,
 }
 
@@ -236,8 +234,7 @@ impl<'a> Sizer<'a> {
         );
         let salt =
             crate::context::probe_salt(problem, steps, width_passes, vt_tolerance, policy, sizing);
-        let soa = (ctx.soa() && sizing == SizingMethod::Budgeted)
-            .then(|| SoaKernel::new(problem.model()));
+        let soa = (sizing == SizingMethod::Budgeted).then(|| SoaKernel::new(problem.model()));
         Sizer {
             problem,
             budgets,
@@ -285,10 +282,7 @@ impl<'a> Sizer<'a> {
             self.problem,
             vdd,
             &vt_slow,
-            crate::tilos::TilosOptions {
-                incremental: self.ctx.incremental(),
-                ..crate::tilos::TilosOptions::default()
-            },
+            crate::tilos::TilosOptions::default(),
             self.ctx.stats().clone(),
         ) {
             Ok(r) => {
@@ -368,58 +362,52 @@ impl<'a> Sizer<'a> {
         // recomputed self-consistently between sweeps (Jacobi style),
         // which keeps the iteration stable; stop when widths settle.
         //
-        // The sweep itself runs on either the batched SoA kernel or the
-        // scalar gate-by-gate loop — bit-identical by contract, and
-        // cross-checked against each other per sweep in debug builds.
+        // The sweep runs on the batched SoA kernel; debug builds
+        // cross-check every sweep against the scalar gate-by-gate loop.
+        let kernel = self
+            .soa
+            .as_ref()
+            .expect("budgeted sizers build the SoA kernel");
         let max_sweeps = self.width_passes.max(2) + 10;
         let mut last_delays = self.budgets.clone();
         let mut sweep_delays = Vec::new();
-        let mut scratch = self.soa.as_ref().map(|_| SizeScratch::new());
+        let mut scratch = SizeScratch::new();
         for _sweep in 0..max_sweeps {
-            let max_rel_change = match (&self.soa, &mut scratch) {
-                (Some(kernel), Some(scratch)) => {
-                    #[cfg(debug_assertions)]
-                    let reference = {
-                        let mut scalar = design.clone();
-                        let rel = self.scalar_size_sweep(&mut scalar, &last_delays);
-                        (scalar, rel)
-                    };
-                    let rel = kernel.size_sweep(
-                        &mut design,
-                        &self.budgets,
-                        &last_delays,
-                        self.steps,
-                        MARGIN,
-                        scratch,
-                    );
-                    #[cfg(debug_assertions)]
-                    {
-                        assert_eq!(
-                            rel.to_bits(),
-                            reference.1.to_bits(),
-                            "batched SoA sweep: relative width change diverged from scalar"
-                        );
-                        for (i, (b, s)) in design
-                            .width
-                            .iter()
-                            .zip(reference.0.width.iter())
-                            .enumerate()
-                        {
-                            assert_eq!(
-                                b.to_bits(),
-                                s.to_bits(),
-                                "batched SoA sweep diverged from scalar at gate {i}"
-                            );
-                        }
-                    }
-                    rel
-                }
-                _ => self.scalar_size_sweep(&mut design, &last_delays),
+            #[cfg(debug_assertions)]
+            let reference = {
+                let mut scalar = design.clone();
+                let rel = self.scalar_size_sweep(&mut scalar, &last_delays);
+                (scalar, rel)
             };
-            match &self.soa {
-                Some(kernel) => kernel.delays_into(&design, &mut sweep_delays),
-                None => model.delays_into(&design, &mut sweep_delays),
+            let max_rel_change = kernel.size_sweep(
+                &mut design,
+                &self.budgets,
+                &last_delays,
+                self.steps,
+                MARGIN,
+                &mut scratch,
+            );
+            #[cfg(debug_assertions)]
+            {
+                assert_eq!(
+                    max_rel_change.to_bits(),
+                    reference.1.to_bits(),
+                    "batched SoA sweep: relative width change diverged from scalar"
+                );
+                for (i, (b, s)) in design
+                    .width
+                    .iter()
+                    .zip(reference.0.width.iter())
+                    .enumerate()
+                {
+                    assert_eq!(
+                        b.to_bits(),
+                        s.to_bits(),
+                        "batched SoA sweep diverged from scalar at gate {i}"
+                    );
+                }
             }
+            kernel.delays_into(&design, &mut sweep_delays);
             std::mem::swap(&mut last_delays, &mut sweep_delays);
             self.ctx.stats().count_sta(1);
             if max_rel_change < 0.005 {
@@ -433,16 +421,9 @@ impl<'a> Sizer<'a> {
         // the critical path slightly over the cycle time even though
         // overall slack exists. Repair by sensitivity-driven upsizing
         // along the critical path until the cycle time is met (or no move
-        // helps). The incremental path maintains persistent arrival /
-        // delay / energy state and touches only the affected cone per
-        // move; both paths are bit-identical (every delta layer stops
-        // propagation on bitwise change only).
-        let sinks = virtual_sinks(netlist);
-        let (mut design, critical, energy) = if self.ctx.incremental() {
-            self.repair_and_eval_incremental(design, last_delays, &sinks, vt_leaky)
-        } else {
-            self.repair_and_eval_full(design, last_delays, &sinks, vt_leaky)
-        };
+        // helps), on the warm evaluator: persistent arrival / delay /
+        // energy state, touching only the affected cone per move.
+        let (mut design, critical, energy) = self.repair_and_eval(design, last_delays, vt_leaky);
 
         // Feasibility is the problem's real constraint — every path meets
         // the cycle time — not the per-gate budgets, which are only the
@@ -471,7 +452,9 @@ impl<'a> Sizer<'a> {
     ///
     /// Reference semantics for [`SoaKernel::size_sweep`], which batches
     /// the same bisection level by level; the two are bit-identical (the
-    /// debug cross-check in [`Self::size_uncached`] enforces it).
+    /// debug cross-check in [`Self::size_uncached`] enforces it). Debug
+    /// builds only: it is the SoA sweep's oracle, not a production path.
+    #[cfg(debug_assertions)]
     fn scalar_size_sweep(&self, design: &mut Design, last_delays: &[f64]) -> f64 {
         let model = self.problem.model();
         let netlist = model.netlist();
@@ -523,102 +506,32 @@ impl<'a> Sizer<'a> {
         max_rel_change
     }
 
-    /// The repair loop + final evaluation on dense recomputation: a full
-    /// delay pass and a full arrival pass per probed move. Reference
-    /// semantics for [`Self::repair_and_eval_incremental`].
-    fn repair_and_eval_full(
-        &self,
-        mut design: Design,
-        mut delays: Vec<f64>,
-        sinks: &[u32],
-        vt_leaky: Vec<f64>,
-    ) -> (Design, f64, EnergyBreakdown) {
-        let model = self.problem.model();
-        let netlist = model.netlist();
-        let n = netlist.gate_count();
-        let w_hi = model.technology().w_range.1;
-        let tc = self.problem.effective_cycle_time();
-        let mut blocked = vec![false; n];
-        let mut arrival = Vec::new();
-        let mut trial_delays = Vec::new();
-        let mut trial_arrival = Vec::new();
-        for _ in 0..200 {
-            arrivals_into(netlist, &delays, &mut arrival);
-            let (crit, crit_gate) = sink_critical(sinks, &arrival);
-            if crit <= tc {
-                break;
-            }
-            let Some(cg) = crit_gate else { break };
-            let best = best_upsize_move(
-                model,
-                netlist,
-                &mut design,
-                &delays,
-                &arrival,
-                &blocked,
-                cg,
-                w_hi,
-            );
-            match best {
-                Some((i, w_new, _)) => {
-                    let w_old = design.width[i];
-                    design.width[i] = w_new;
-                    model.delays_into(&design, &mut trial_delays);
-                    self.ctx.stats().count_sta(1);
-                    // Revert moves that backfire through driver loading.
-                    arrivals_into(netlist, &trial_delays, &mut trial_arrival);
-                    let new_crit = sink_critical(sinks, &trial_arrival).0;
-                    if new_crit < crit {
-                        std::mem::swap(&mut delays, &mut trial_delays);
-                    } else {
-                        design.width[i] = w_old;
-                        blocked[i] = true;
-                    }
-                }
-                None => break,
-            }
-        }
-        arrivals_into(netlist, &delays, &mut arrival);
-        let critical = sink_critical(sinks, &arrival).0;
-
-        // Energy at the leaky corner (equals nominal when tolerance = 0).
-        let energy_design = Design {
-            vdd: design.vdd,
-            vt: vt_leaky,
-            width: design.width.clone(),
-        };
-        let energy = model.total_energy(&energy_design, self.problem.fc());
-        (design, critical, energy)
-    }
-
-    /// The repair loop + final evaluation on the incremental layers:
-    /// per-move cost is O(cone) — journaled delay repair, dirty-worklist
-    /// arrival propagation, delta-maintained leaky-corner energy terms —
-    /// with rejected moves reverted from the journals instead of
-    /// recomputed. Bit-identical to [`Self::repair_and_eval_full`].
-    fn repair_and_eval_incremental(
+    /// The repair loop + final evaluation on the warm evaluator: per-move
+    /// cost is O(cone) — journaled delay repair, dirty-worklist arrival
+    /// propagation, delta-maintained leaky-corner energy terms — with
+    /// rejected moves reverted from the journals instead of recomputed.
+    fn repair_and_eval(
         &self,
         design: Design,
         delays: Vec<f64>,
-        sinks: &[u32],
         vt_leaky: Vec<f64>,
     ) -> (Design, f64, EnergyBreakdown) {
         let model = self.problem.model();
         let netlist = model.netlist();
-        let n = netlist.gate_count();
         let w_hi = model.technology().w_range.1;
         let tc = self.problem.effective_cycle_time();
-        let fc = self.problem.fc();
-        let mut energy_design = Design {
-            vdd: design.vdd,
-            vt: vt_leaky,
-            width: design.width.clone(),
-        };
-        let mut eval = IncrementalEval::new(model, design, delays, tc, self.ctx.stats().clone());
-        let mut ledger = model.energy_ledger(&energy_design, fc);
-        let mut blocked = vec![false; n];
+        let mut eval = IncrementalEval::new(
+            model,
+            design,
+            delays,
+            Some(vt_leaky),
+            self.problem.fc(),
+            tc,
+            Some(self.ctx.stats().clone()),
+        );
+        let mut blocked = vec![false; netlist.gate_count()];
         for _ in 0..200 {
-            let (crit, crit_gate) = sink_critical(sinks, eval.arrivals());
+            let (crit, crit_gate) = eval.sta().critical_sink();
             if crit <= tc {
                 break;
             }
@@ -629,24 +542,21 @@ impl<'a> Sizer<'a> {
             };
             match best {
                 Some((i, w_new, _)) => {
-                    eval.try_width(i, w_new);
-                    let new_crit = sink_critical(sinks, eval.arrivals()).0;
-                    if new_crit < crit {
+                    eval.try_width(model, i, w_new);
+                    // Revert moves that backfire through driver loading.
+                    if eval.sta().critical_sink().0 < crit {
                         eval.accept();
-                        energy_design.width[i] = eval.design().width[i];
-                        ledger.on_width_change(model, &energy_design, GateId::new(i));
                     } else {
-                        eval.revert();
+                        eval.revert(model);
                         blocked[i] = true;
                     }
                 }
                 None => break,
             }
         }
-        let critical = sink_critical(sinks, eval.arrivals()).0;
-        // Ordered re-sum of the per-gate terms: bitwise what
-        // `total_energy` computes over the same design.
-        let energy = ledger.exact_total();
+        let critical = eval.sta().critical_sink().0;
+        // Energy at the leaky corner (equals nominal when tolerance = 0).
+        let energy = eval.energy();
         (eval.into_design(), critical, energy)
     }
 }
@@ -654,8 +564,9 @@ impl<'a> Sizer<'a> {
 /// Walks the critical path from `crit_gate` toward the primary inputs and
 /// returns the most effective upsize `(gate, new_width, gain)`: the
 /// largest single-gate delay reduction from a 1.3× width step, probing
-/// each candidate in place. Shared verbatim by the full and incremental
-/// repair loops so both make identical decisions from identical values.
+/// each candidate in place. Reads only the design, delays and arrivals,
+/// so a warm state that matches the dense one bit for bit makes the
+/// decisions a dense loop would.
 #[allow(clippy::too_many_arguments)]
 fn best_upsize_move(
     model: &CircuitModel,
@@ -721,8 +632,8 @@ pub fn size_at(
 }
 
 /// [`size_at`] on an explicit [`EvalContext`] — how benches and tests pin
-/// the thread count, the cache, or the incremental/full evaluation path
-/// without touching the process-wide context.
+/// the thread count or the cache without touching the process-wide
+/// context.
 ///
 /// # Errors
 ///

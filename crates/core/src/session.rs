@@ -2,14 +2,14 @@
 //! durable edit log.
 //!
 //! A cold optimization job answers one question per netlist load; a
-//! *session* keeps the expensive artifacts — the [`CircuitModel`], a
-//! self-consistent delay vector, a warm [`IncrementalSta`], and an
-//! [`EnergyLedger`] — alive between questions, so "what if this gate
-//! were 2× wider" or "what if `f_c` moved to 400 MHz" costs one
-//! dirty-cone repair instead of a full dense evaluation. The design
-//! follows the same discipline as the sizing inner loops (PR 2): every
-//! incremental path is bitwise-identical to the dense recomputation it
-//! replaces, and debug builds assert that after every op.
+//! *session* keeps the expensive artifacts — the [`CircuitModel`] and the
+//! warm evaluator the sizing loops also run on (a self-consistent delay
+//! vector, an incremental STA, and an energy ledger) — alive between
+//! questions, so "what if this gate were 2× wider" or "what if `f_c`
+//! moved to 400 MHz" costs one dirty-cone repair instead of a full dense
+//! evaluation. Every incremental path is bitwise-identical to the dense
+//! recomputation it replaces, and debug builds assert that after every
+//! edit.
 //!
 //! The pieces:
 //!
@@ -20,11 +20,11 @@
 //!   bit-exact.
 //! - [`SessionState`] — the warm state and the per-op incremental
 //!   strategies: width/vt edits run the journaled delay repair +
-//!   `IncrementalSta` commit + ledger refresh; operating-point edits
-//!   rebuild only the invalidated artifact (ledger for `f_c` and
-//!   activity, everything for `V_dd`); structural edits rebuild
-//!   densely (the wire model is a function of gate count, so the
-//!   whole delay surface legitimately moves).
+//!   incremental STA commit + ledger refresh; operating-point edits
+//!   rebuild only the invalidated artifacts (arrivals and ledger for
+//!   `f_c`, ledger for activity, everything for `V_dd`); structural
+//!   edits rebuild densely (the wire model is a function of gate count,
+//!   so the whole delay surface legitimately moves).
 //! - The **op-log**: `append_op` writes one CRC-framed record per
 //!   applied op with an fsync, `read_oplog` replays the longest valid
 //!   prefix (a torn tail — crash or the `session.oplog.torn` fault —
@@ -46,10 +46,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use minpower_device::Technology;
-use minpower_models::{CircuitModel, Design, EnergyBreakdown, EnergyLedger};
+use minpower_models::{CircuitModel, Design, EnergyBreakdown};
 use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
-use minpower_timing::IncrementalSta;
 
+use crate::incremental::IncrementalEval;
 use crate::json::{self, Value};
 
 /// Input switching probability used for every session model, matching
@@ -458,30 +458,26 @@ pub struct OpOutcome {
     pub dirty: usize,
 }
 
-/// Warm per-session state: the model, a self-consistent delay vector,
-/// an incremental STA, an energy ledger, and the dirty set feeding the
-/// re-optimization planner. All mutation goes through [`SessionState::apply`];
-/// replaying the same ops over the same [`SessionParams`] reproduces
-/// the state bit-for-bit.
+/// Warm per-session state: the model, the warm evaluator (design,
+/// self-consistent delays, incremental STA, energy ledger), and the
+/// dirty set feeding the re-optimization planner. All mutation goes
+/// through [`SessionState::apply`]; replaying the same ops over the same
+/// [`SessionParams`] reproduces the state bit-for-bit.
 pub struct SessionState {
     tech: Technology,
     model: CircuitModel,
-    design: Design,
-    fc: f64,
+    eval: IncrementalEval,
     activity: f64,
     skew: f64,
     default_vt: f64,
     default_width: f64,
-    delays: Vec<f64>,
-    sta: IncrementalSta,
-    ledger: EnergyLedger,
     dirty: BTreeSet<String>,
     revision: u64,
 }
 
 impl SessionState {
     /// Builds the warm state: dense delays, forward-only STA, energy
-    /// ledger.
+    /// ledger, all inside the warm evaluator.
     ///
     /// # Errors
     ///
@@ -496,22 +492,19 @@ impl SessionState {
             ACTIVITY_PROBABILITY,
             params.activity,
         );
-        let mut delays = Vec::new();
-        model.delays_into(&design, &mut delays);
-        let sta = IncrementalSta::forward_only(model.netlist(), &delays, params.skew / params.fc);
-        let ledger = model.energy_ledger(&design, params.fc);
+        // Energy at the design's own thresholds; session ops count
+        // nothing in the engine telemetry.
+        let delays = model.delays(&design);
+        let tc = params.skew / params.fc;
+        let eval = IncrementalEval::new(&model, design, delays, None, params.fc, tc, None);
         Ok(SessionState {
             tech,
             model,
-            design,
-            fc: params.fc,
+            eval,
             activity: params.activity,
             skew: params.skew,
             default_vt: params.vt,
             default_width: params.width,
-            delays,
-            sta,
-            ledger,
             dirty: BTreeSet::new(),
             revision: 0,
         })
@@ -548,26 +541,20 @@ impl SessionState {
             SessionOp::Resize { gate, width } => {
                 let id = self.logic_gate(gate, "resize")?;
                 check_range("width", *width, self.tech.w_range)?;
-                let touched = self.commit_width(id, *width);
+                let touched = self.eval.set_width(&self.model, id.index(), *width);
                 self.dirty.insert(gate.clone());
                 (touched, 0)
             }
             SessionOp::SetVt { gate, vt } => {
                 let id = self.logic_gate(gate, "set_vt")?;
                 check_range("vt", *vt, self.tech.vt_range)?;
-                self.design.vt[id.index()] = *vt;
-                // Vt moves the gate's own drive and leakage; its fanins'
-                // delays recompute to the same bits, so the width-change
-                // repair cone is exactly the vt-change cone.
-                let touched = self.repair_from(id);
-                self.ledger.on_width_change(&self.model, &self.design, id);
+                let touched = self.eval.set_vt(&self.model, id, *vt);
                 self.dirty.insert(gate.clone());
                 (touched, 0)
             }
             SessionOp::SetVdd { vdd } => {
                 check_range("vdd", *vdd, self.tech.vdd_range)?;
-                self.design.vdd = *vdd;
-                self.rebuild_dense();
+                self.eval.rebuild(&self.model, |d| d.vdd = *vdd);
                 self.mark_all_dirty();
                 (self.model.netlist().gate_count(), 0)
             }
@@ -575,15 +562,9 @@ impl SessionState {
                 if !fc.is_finite() || *fc <= 0.0 {
                     return Err(SessionError::new("`fc` must be finite and positive"));
                 }
-                self.fc = *fc;
                 // Delays are untouched; only the constraint and the
                 // static-energy terms (∝ 1/fc) move.
-                self.sta = IncrementalSta::forward_only(
-                    self.model.netlist(),
-                    &self.delays,
-                    self.cycle_time(),
-                );
-                self.ledger = self.model.energy_ledger(&self.design, self.fc);
+                self.eval.set_fc(&self.model, *fc, self.skew / *fc);
                 self.mark_all_dirty();
                 (0, 0)
             }
@@ -601,7 +582,7 @@ impl SessionState {
                     ACTIVITY_PROBABILITY,
                     *activity,
                 );
-                self.ledger = self.model.energy_ledger(&self.design, self.fc);
+                self.eval.reprice(&self.model);
                 self.mark_all_dirty();
                 (0, 0)
             }
@@ -631,16 +612,14 @@ impl SessionState {
             }
         };
         self.revision += 1;
-        #[cfg(debug_assertions)]
-        self.cross_check();
         Ok(OpOutcome {
             revision: self.revision,
             gates_touched,
             resized,
-            feasible: self.sta.meets_constraint(),
-            critical_delay: self.sta.critical_delay(),
+            feasible: self.eval.sta().meets_constraint(),
+            critical_delay: self.eval.sta().critical_delay(),
             cycle_time: self.cycle_time(),
-            energy: self.ledger.exact_total(),
+            energy: self.eval.energy(),
             dirty: self.dirty.len(),
         })
     }
@@ -660,57 +639,12 @@ impl SessionState {
         Ok(id)
     }
 
-    /// Journaled delay repair from `id` + staged STA commit. Returns
-    /// how many delay entries moved.
-    fn repair_from(&mut self, id: GateId) -> usize {
-        let mut staged: Vec<u32> = Vec::new();
-        self.model.update_delays_after_width_change_with(
-            &self.design,
-            &mut self.delays,
-            id,
-            |i, _| staged.push(i as u32),
-        );
-        for &i in &staged {
-            self.sta
-                .set_delay(GateId::new(i as usize), self.delays[i as usize]);
-        }
-        let _ = self.sta.commit();
-        staged.len()
-    }
-
-    /// Applies a width permanently: repair + ledger refresh.
-    fn commit_width(&mut self, id: GateId, w: f64) -> usize {
-        self.design.width[id.index()] = w;
-        let touched = self.repair_from(id);
-        self.ledger.on_width_change(&self.model, &self.design, id);
-        touched
-    }
-
-    /// Trial width probe: applies, checks feasibility, reverts
-    /// bit-exactly (restore width, replay the journal in reverse, undo
-    /// the STA commit) — the `IncrementalEval::try_width`/`revert`
-    /// transaction inlined over owned state.
+    /// Trial width probe on the warm evaluator: applies, checks
+    /// feasibility, reverts bit-exactly.
     fn probe_feasible(&mut self, id: GateId, w: f64) -> bool {
-        let old_w = self.design.width[id.index()];
-        self.design.width[id.index()] = w;
-        let mut journal: Vec<(u32, f64)> = Vec::new();
-        self.model.update_delays_after_width_change_with(
-            &self.design,
-            &mut self.delays,
-            id,
-            |i, old| journal.push((i as u32, old)),
-        );
-        for &(i, _) in &journal {
-            self.sta
-                .set_delay(GateId::new(i as usize), self.delays[i as usize]);
-        }
-        let _ = self.sta.commit();
-        let feasible = self.sta.meets_constraint();
-        self.design.width[id.index()] = old_w;
-        for &(i, old) in journal.iter().rev() {
-            self.delays[i as usize] = old;
-        }
-        self.sta.undo();
+        self.eval.try_width(&self.model, id.index(), w);
+        let feasible = self.eval.sta().meets_constraint();
+        self.eval.revert(&self.model);
         feasible
     }
 
@@ -732,7 +666,7 @@ impl SessionState {
         let mut touched = 0usize;
         let mut resized = 0usize;
         for id in cone {
-            let current = self.design.width[id.index()];
+            let current = self.eval.design().width[id.index()];
             let chosen = if self.probe_feasible(id, w_min) {
                 w_min
             } else if !self.probe_feasible(id, w_max) {
@@ -750,7 +684,7 @@ impl SessionState {
                 hi
             };
             if chosen.to_bits() != current.to_bits() {
-                touched += self.commit_width(id, chosen);
+                touched += self.eval.set_width(&self.model, id.index(), chosen);
                 resized += 1;
             }
         }
@@ -758,10 +692,10 @@ impl SessionState {
         (touched, resized)
     }
 
-    /// Structural add: rebuild the netlist with the new gate appended
-    /// (index order of existing gates is preserved, so the design
-    /// vectors extend in place), then rebuild densely — the wire model
-    /// scales with gate count, so every delay legitimately moves.
+    /// Structural add: the new gate's descriptor is appended and the
+    /// netlist rebuilt through [`SessionState::rebuild_structural`]. The
+    /// current index order is topological, so the stable re-sort keeps
+    /// every existing gate in place and the new one last.
     fn add_gate(
         &mut self,
         name: &str,
@@ -774,119 +708,49 @@ impl SessionState {
         if kind.is_input() {
             return Err(SessionError::new("cannot add a primary input"));
         }
-        let old = self.model.netlist();
-        if old.find(name).is_some() {
+        if self.model.netlist().find(name).is_some() {
             return Err(SessionError::new(format!("gate {name:?} already exists")));
         }
-        let mut b = NetlistBuilder::new(old.name());
-        for g in old.gates() {
-            if g.kind().is_input() {
-                b.input(g.name()).map_err(to_session_error)?;
-            } else {
-                b.gate_by_id(g.name(), g.kind(), g.fanin().to_vec())
-                    .map_err(to_session_error)?;
-            }
-        }
-        for &o in old.outputs() {
-            b.output(old.gate(o).name()).map_err(to_session_error)?;
-        }
-        b.record_flip_flops(old.flip_flop_count());
-        let refs: Vec<&str> = fanin.iter().map(String::as_str).collect();
-        b.gate(name, kind, &refs).map_err(to_session_error)?;
-        let netlist = b.finish().map_err(to_session_error)?;
-        self.design.vt.push(self.default_vt);
-        self.design.width.push(self.default_width);
-        self.model = CircuitModel::with_uniform_activity(
-            &netlist,
-            self.tech.clone(),
-            ACTIVITY_PROBABILITY,
-            self.activity,
-        );
-        self.rebuild_dense();
+        let mut gates = gate_descs(self.model.netlist());
+        gates.push((name.to_string(), kind, fanin.to_vec()));
+        self.rebuild_structural(gates)?;
         self.dirty.insert(name.to_string());
-        for f in fanin {
-            if !self
-                .model
-                .netlist()
-                .gate(self.model.netlist().find(f).expect("fanin exists"))
-                .kind()
-                .is_input()
-            {
-                self.dirty.insert(f.clone());
-            }
-        }
+        self.mark_logic_dirty(fanin);
         Ok(self.model.netlist().gate_count())
     }
 
     /// Structural remove: only a leaf gate (no fanout, not an output,
-    /// not an input) can go; everything downstream of its former
-    /// drivers rebuilds densely.
+    /// not an input) can go; its descriptor is dropped and the netlist
+    /// rebuilt through [`SessionState::rebuild_structural`].
     fn remove_gate(&mut self, name: &str) -> Result<usize, SessionError> {
-        let old = self.model.netlist();
-        let id = old
-            .find(name)
-            .ok_or_else(|| SessionError::new(format!("unknown gate {name:?}")))?;
-        if old.gate(id).kind().is_input() {
-            return Err(SessionError::new(format!(
-                "cannot remove primary input {name:?}"
-            )));
-        }
-        if old.is_output(id) {
-            return Err(SessionError::new(format!(
-                "cannot remove primary output {name:?}"
-            )));
-        }
-        let fanout = old.fanout(id).len();
-        if fanout > 0 {
-            return Err(SessionError::new(format!(
-                "gate {name:?} drives {fanout} gate(s); remove those first"
-            )));
-        }
-        let fanin_names: Vec<String> = old
-            .gate(id)
-            .fanin()
-            .iter()
-            .map(|&f| old.gate(f).name().to_string())
-            .collect();
-        let mut b = NetlistBuilder::new(old.name());
-        for g in old.gates() {
-            if g.name() == name {
-                continue;
+        let (gates, fanin_names) = {
+            let old = self.model.netlist();
+            let id = old
+                .find(name)
+                .ok_or_else(|| SessionError::new(format!("unknown gate {name:?}")))?;
+            if old.gate(id).kind().is_input() {
+                return Err(SessionError::new(format!(
+                    "cannot remove primary input {name:?}"
+                )));
             }
-            if g.kind().is_input() {
-                b.input(g.name()).map_err(to_session_error)?;
-            } else {
-                // Rebuild by fanin *names*: ids above the removed index
-                // shift down by one.
-                let fan: Vec<&str> = g.fanin().iter().map(|&f| old.gate(f).name()).collect();
-                b.gate(g.name(), g.kind(), &fan).map_err(to_session_error)?;
+            if old.is_output(id) {
+                return Err(SessionError::new(format!(
+                    "cannot remove primary output {name:?}"
+                )));
             }
-        }
-        for &o in old.outputs() {
-            b.output(old.gate(o).name()).map_err(to_session_error)?;
-        }
-        b.record_flip_flops(old.flip_flop_count());
-        let netlist = b.finish().map_err(to_session_error)?;
-        self.design.vt.remove(id.index());
-        self.design.width.remove(id.index());
-        self.model = CircuitModel::with_uniform_activity(
-            &netlist,
-            self.tech.clone(),
-            ACTIVITY_PROBABILITY,
-            self.activity,
-        );
-        self.rebuild_dense();
+            let fanout = old.fanout(id).len();
+            if fanout > 0 {
+                return Err(SessionError::new(format!(
+                    "gate {name:?} drives {fanout} gate(s); remove those first"
+                )));
+            }
+            let mut gates = gate_descs(old);
+            let (_, _, fanin_names) = gates.remove(id.index());
+            (gates, fanin_names)
+        };
+        self.rebuild_structural(gates)?;
         self.dirty.remove(name);
-        for f in fanin_names {
-            let fid = self
-                .model
-                .netlist()
-                .find(&f)
-                .expect("fanin survives removal");
-            if !self.model.netlist().gate(fid).kind().is_input() {
-                self.dirty.insert(f);
-            }
-        }
+        self.mark_logic_dirty(&fanin_names);
         Ok(self.model.netlist().gate_count())
     }
 
@@ -923,14 +787,8 @@ impl SessionState {
         // the builder validates that during the rebuild.
         self.rebuild_structural(gates)?;
         self.dirty.insert(name.to_string());
-        for f in old_fanin.iter().chain(fanin.iter()) {
-            let n = self.model.netlist();
-            if let Some(fid) = n.find(f) {
-                if !n.gate(fid).kind().is_input() {
-                    self.dirty.insert(f.clone());
-                }
-            }
-        }
+        self.mark_logic_dirty(&old_fanin);
+        self.mark_logic_dirty(fanin);
         Ok(self.model.netlist().gate_count())
     }
 
@@ -966,14 +824,7 @@ impl SessionState {
         };
         self.rebuild_structural(gates)?;
         self.dirty.insert(name.to_string());
-        for f in &neighbors {
-            let n = self.model.netlist();
-            if let Some(fid) = n.find(f) {
-                if !n.gate(fid).kind().is_input() {
-                    self.dirty.insert(f.clone());
-                }
-            }
-        }
+        self.mark_logic_dirty(&neighbors);
         Ok(self.model.netlist().gate_count())
     }
 
@@ -981,13 +832,11 @@ impl SessionState {
     /// topological re-sort (Kahn's algorithm draining ready gates in
     /// original index order, so an edit that inverts no edges preserves
     /// the current order exactly), the design vectors permuted by gate
-    /// name, then a full model + dense rebuild. Fails — leaving the
-    /// state untouched — on an unknown fanin name, a combinational
-    /// cycle, or an arity the builder rejects.
-    fn rebuild_structural(
-        &mut self,
-        gates: Vec<(String, GateKind, Vec<String>)>,
-    ) -> Result<(), SessionError> {
+    /// name (a gate new to the netlist takes the session defaults), then
+    /// a full model + dense rebuild. Fails — leaving the state untouched
+    /// — on an unknown fanin name, a combinational cycle, or an arity
+    /// the builder rejects.
+    fn rebuild_structural(&mut self, gates: Vec<GateDesc>) -> Result<(), SessionError> {
         let (netlist_name, outputs, ffs, old_vals) = {
             let old = self.model.netlist();
             let outputs: Vec<String> = old
@@ -995,16 +844,12 @@ impl SessionState {
                 .iter()
                 .map(|&o| old.gate(o).name().to_string())
                 .collect();
+            let design = self.eval.design();
             let old_vals: HashMap<String, (f64, f64)> = old
                 .gates()
                 .iter()
                 .enumerate()
-                .map(|(i, g)| {
-                    (
-                        g.name().to_string(),
-                        (self.design.vt[i], self.design.width[i]),
-                    )
-                })
+                .map(|(i, g)| (g.name().to_string(), (design.vt[i], design.width[i])))
                 .collect();
             (
                 old.name().to_string(),
@@ -1048,47 +893,40 @@ impl SessionState {
         if order.len() != gates.len() {
             return Err(SessionError::new("edit creates a combinational cycle"));
         }
-        let mut b = NetlistBuilder::new(&netlist_name);
-        for &i in &order {
-            let (name, kind, fanin) = &gates[i];
-            if kind.is_input() {
-                b.input(name).map_err(to_session_error)?;
-            } else {
-                let refs: Vec<&str> = fanin.iter().map(String::as_str).collect();
-                b.gate(name, *kind, &refs).map_err(to_session_error)?;
-            }
-        }
-        for o in &outputs {
-            b.output(o).map_err(to_session_error)?;
-        }
-        b.record_flip_flops(ffs);
-        let netlist = b.finish().map_err(to_session_error)?;
-        let mut vt = Vec::with_capacity(netlist.gate_count());
-        let mut width = Vec::with_capacity(netlist.gate_count());
-        for g in netlist.gates() {
-            let &(v, w) = old_vals.get(g.name()).expect("gate survives the rebuild");
-            vt.push(v);
-            width.push(w);
-        }
-        self.design.vt = vt;
-        self.design.width = width;
+        let netlist = build_netlist(
+            &netlist_name,
+            order.iter().map(|&i| &gates[i]),
+            &outputs,
+            ffs,
+        )?;
+        let defaults = (self.default_vt, self.default_width);
+        let (vt, width): (Vec<f64>, Vec<f64>) = netlist
+            .gates()
+            .iter()
+            .map(|g| old_vals.get(g.name()).copied().unwrap_or(defaults))
+            .unzip();
         self.model = CircuitModel::with_uniform_activity(
             &netlist,
             self.tech.clone(),
             ACTIVITY_PROBABILITY,
             self.activity,
         );
-        self.rebuild_dense();
+        self.eval.rebuild(&self.model, |d| {
+            d.vt = vt;
+            d.width = width;
+        });
         Ok(())
     }
 
-    /// Dense rebuild of delays, STA, and ledger from the current model
-    /// and design.
-    fn rebuild_dense(&mut self) {
-        self.model.delays_into(&self.design, &mut self.delays);
-        self.sta =
-            IncrementalSta::forward_only(self.model.netlist(), &self.delays, self.cycle_time());
-        self.ledger = self.model.energy_ledger(&self.design, self.fc);
+    /// Marks the named gates dirty, skipping primary inputs and names
+    /// the netlist no longer has.
+    fn mark_logic_dirty(&mut self, names: &[String]) {
+        let n = self.model.netlist();
+        for f in names {
+            if n.find(f).is_some_and(|id| !n.gate(id).kind().is_input()) {
+                self.dirty.insert(f.clone());
+            }
+        }
     }
 
     fn mark_all_dirty(&mut self) {
@@ -1099,59 +937,21 @@ impl SessionState {
         }
     }
 
-    /// The dense cross-check: the warm delay vector, arrival times,
+    /// The warm evaluator's dense cross-check: delays, arrival times,
     /// and ledger total must be bitwise-identical to a from-scratch
-    /// evaluation — the same discipline as the SoA scalar cross-check.
-    /// Debug builds run this after every op.
+    /// evaluation. Debug builds run it after every edit.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first bit that differs.
     pub fn cross_check(&self) {
-        let mut dense = Vec::new();
-        self.model.delays_into(&self.design, &mut dense);
-        assert_eq!(dense.len(), self.delays.len(), "delay vector length drift");
-        for (i, (&d, &w)) in dense.iter().zip(self.delays.iter()).enumerate() {
-            assert_eq!(
-                d.to_bits(),
-                w.to_bits(),
-                "session delay drift at gate {i}: dense {d:e} vs warm {w:e}"
-            );
-        }
-        let dense_sta =
-            IncrementalSta::forward_only(self.model.netlist(), &dense, self.cycle_time());
-        for (i, (&a, &b)) in dense_sta
-            .arrivals()
-            .iter()
-            .zip(self.sta.arrivals().iter())
-            .enumerate()
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "session arrival drift at gate {i}"
-            );
-        }
-        assert_eq!(
-            dense_sta.critical_delay().to_bits(),
-            self.sta.critical_delay().to_bits(),
-            "session critical-delay drift"
-        );
-        let dense_total = self.model.total_energy(&self.design, self.fc);
-        let exact = self.ledger.exact_total();
-        assert_eq!(
-            dense_total.static_.to_bits(),
-            exact.static_.to_bits(),
-            "session static-energy drift"
-        );
-        assert_eq!(
-            dense_total.dynamic.to_bits(),
-            exact.dynamic.to_bits(),
-            "session dynamic-energy drift"
-        );
-        self.sta.assert_consistent();
+        self.eval.cross_check(&self.model);
     }
 
     /// Effective cycle time, `skew / fc` (matches
     /// `Problem::effective_cycle_time`).
     pub fn cycle_time(&self) -> f64 {
-        self.skew / self.fc
+        self.skew / self.fc()
     }
 
     /// Ops applied since creation.
@@ -1166,38 +966,38 @@ impl SessionState {
 
     /// The current design point.
     pub fn design(&self) -> &Design {
-        &self.design
+        self.eval.design()
     }
 
     /// Current self-consistent per-gate delays.
     pub fn delays(&self) -> &[f64] {
-        &self.delays
+        self.eval.delays()
     }
 
     /// Current per-gate arrival times.
     pub fn arrivals(&self) -> &[f64] {
-        self.sta.arrivals()
+        self.eval.sta().arrivals()
     }
 
     /// Current critical path delay, seconds.
     pub fn critical_delay(&self) -> f64 {
-        self.sta.critical_delay()
+        self.eval.sta().critical_delay()
     }
 
     /// Whether the circuit meets the cycle-time constraint.
     pub fn feasible(&self) -> bool {
-        self.sta.meets_constraint()
+        self.eval.sta().meets_constraint()
     }
 
     /// Exact (index-order) energy per cycle; bitwise-identical to
     /// `CircuitModel::total_energy` over the same design.
     pub fn energy(&self) -> EnergyBreakdown {
-        self.ledger.exact_total()
+        self.eval.energy()
     }
 
     /// Clock frequency target, Hz.
     pub fn fc(&self) -> f64 {
-        self.fc
+        self.eval.fc()
     }
 
     /// Uniform input activity density.
@@ -1263,18 +1063,18 @@ impl SessionState {
             ),
             ("version".into(), Value::Int(1)),
             ("revision".into(), Value::Int(self.revision)),
-            ("fc".into(), json::bits_f64(self.fc)),
+            ("fc".into(), json::bits_f64(self.fc())),
             ("activity".into(), json::bits_f64(self.activity)),
             ("skew".into(), json::bits_f64(self.skew)),
-            ("vdd".into(), json::bits_f64(self.design.vdd)),
+            ("vdd".into(), json::bits_f64(self.design().vdd)),
             ("default_vt".into(), json::bits_f64(self.default_vt)),
             ("default_width".into(), json::bits_f64(self.default_width)),
             ("netlist_name".into(), Value::Str(n.name().to_string())),
             ("gates".into(), Value::Arr(gates)),
             ("outputs".into(), Value::Arr(outputs)),
             ("flip_flops".into(), Value::Int(n.flip_flop_count() as u64)),
-            ("vt".into(), json::bits_f64_array(&self.design.vt)),
-            ("width".into(), json::bits_f64_array(&self.design.width)),
+            ("vt".into(), json::bits_f64_array(&self.design().vt)),
+            ("width".into(), json::bits_f64_array(&self.design().width)),
             (
                 "dirty".into(),
                 Value::Arr(self.dirty.iter().map(|s| Value::Str(s.clone())).collect()),
@@ -1301,32 +1101,38 @@ impl SessionState {
                 "unsupported snapshot version {version}"
             )));
         }
-        let mut b = NetlistBuilder::new(obj.req("netlist_name")?.as_str("netlist_name")?);
+        let mut gates: Vec<GateDesc> = Vec::new();
         for g in obj.req("gates")?.as_arr("gates")? {
             let parts = g.as_arr("gate entry")?;
             if parts.len() != 3 {
                 return Err(SessionError::new("gate entry must be [name, kind, fanin]"));
             }
-            let name = parts[0].as_str("gate name")?;
             let kw = parts[1].as_str("gate kind")?;
-            let fanin: Vec<&str> = parts[2]
+            let kind = if kw.eq_ignore_ascii_case("INPUT") {
+                GateKind::Input
+            } else {
+                kind_from_keyword(kw)?
+            };
+            let fanin = parts[2]
                 .as_arr("gate fanin")?
                 .iter()
-                .map(|v| v.as_str("fanin name"))
+                .map(|v| v.as_str("fanin name").map(str::to_string))
                 .collect::<Result<Vec<_>, _>>()?;
-            if kw.eq_ignore_ascii_case("INPUT") {
-                b.input(name).map_err(to_session_error)?;
-            } else {
-                b.gate(name, kind_from_keyword(kw)?, &fanin)
-                    .map_err(to_session_error)?;
-            }
+            gates.push((parts[0].as_str("gate name")?.to_string(), kind, fanin));
         }
-        for o in obj.req("outputs")?.as_arr("outputs")? {
-            b.output(o.as_str("output name")?)
-                .map_err(to_session_error)?;
-        }
-        b.record_flip_flops(obj.req("flip_flops")?.as_u64("flip_flops")? as usize);
-        let netlist = b.finish().map_err(to_session_error)?;
+        let outputs = obj
+            .req("outputs")?
+            .as_arr("outputs")?
+            .iter()
+            .map(|o| o.as_str("output name").map(str::to_string))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Persisted in index order, which is topological.
+        let netlist = build_netlist(
+            obj.req("netlist_name")?.as_str("netlist_name")?,
+            &gates,
+            &outputs,
+            obj.req("flip_flops")?.as_u64("flip_flops")? as usize,
+        )?;
         let params = SessionParams {
             fc: obj.req("fc")?.as_bits_f64("fc")?,
             activity: obj.req("activity")?.as_bits_f64("activity")?,
@@ -1343,9 +1149,10 @@ impl SessionState {
             ));
         }
         let mut state = SessionState::new(netlist, &params)?;
-        state.design.vt = vt;
-        state.design.width = width;
-        state.rebuild_dense();
+        state.eval.rebuild(&state.model, |d| {
+            d.vt = vt;
+            d.width = width;
+        });
         state.revision = obj.req("revision")?.as_u64("revision")?;
         for d in obj.req("dirty")?.as_arr("dirty")? {
             state.dirty.insert(d.as_str("dirty name")?.to_string());
@@ -1358,9 +1165,37 @@ fn to_session_error(e: impl fmt::Display) -> SessionError {
     SessionError::new(e.to_string())
 }
 
-/// Owned `(name, kind, fanin names)` descriptors in index order — the
-/// editable form of a netlist for structural rebuilds.
-fn gate_descs(n: &Netlist) -> Vec<(String, GateKind, Vec<String>)> {
+/// An owned `(name, kind, fanin names)` gate descriptor — the editable
+/// form of a gate for structural rebuilds and snapshots.
+type GateDesc = (String, GateKind, Vec<String>);
+
+/// Builds a netlist from descriptors in the given order. The builder
+/// rejects undefined fanins, so the order must be topological.
+fn build_netlist<'g>(
+    name: &str,
+    gates: impl IntoIterator<Item = &'g GateDesc>,
+    outputs: &[String],
+    flip_flops: usize,
+) -> Result<Netlist, SessionError> {
+    let mut b = NetlistBuilder::new(name);
+    for (name, kind, fanin) in gates {
+        let added = if kind.is_input() {
+            b.input(name)
+        } else {
+            let refs: Vec<&str> = fanin.iter().map(String::as_str).collect();
+            b.gate(name, *kind, &refs)
+        };
+        added.map_err(to_session_error)?;
+    }
+    for o in outputs {
+        b.output(o).map_err(to_session_error)?;
+    }
+    b.record_flip_flops(flip_flops);
+    b.finish().map_err(to_session_error)
+}
+
+/// Owned descriptors in index order.
+fn gate_descs(n: &Netlist) -> Vec<GateDesc> {
     n.gates()
         .iter()
         .map(|g| {

@@ -18,10 +18,9 @@ use std::sync::Arc;
 use minpower_engine::EngineStats;
 use minpower_models::{CircuitModel, Design};
 use minpower_netlist::{GateId, Netlist};
-use minpower_timing::incremental::{sink_critical, virtual_sinks};
 
 use crate::error::OptimizeError;
-use crate::incremental::{arrivals_into, IncrementalEval};
+use crate::incremental::IncrementalEval;
 use crate::problem::Problem;
 use crate::result::OptimizationResult;
 use crate::runctl::RunControl;
@@ -34,12 +33,6 @@ pub struct TilosOptions {
     pub step: f64,
     /// Hard cap on accepted moves (safety bound).
     pub max_moves: usize,
-    /// Route the move loop through the incremental evaluation layer
-    /// (journaled cone delay repair, persistent arrival state — O(cone)
-    /// per move) instead of a dense delay + arrival recompute per move.
-    /// Bit-identical results either way; `false` is the
-    /// `--no-incremental` escape hatch.
-    pub incremental: bool,
 }
 
 impl Default for TilosOptions {
@@ -47,7 +40,6 @@ impl Default for TilosOptions {
         TilosOptions {
             step: 1.15,
             max_moves: 20_000,
-            incremental: true,
         }
     }
 }
@@ -115,8 +107,8 @@ pub fn size_greedy_with_vt(
 
 /// [`size_greedy_with_vt`] counting into an explicit [`EngineStats`] — the
 /// entry point the joint optimizer's greedy sizing mode routes through so
-/// telemetry (and the incremental/full choice) follows the caller's
-/// [`crate::context::EvalContext`] rather than the process-wide one.
+/// telemetry follows the caller's [`crate::context::EvalContext`] rather
+/// than the process-wide one.
 pub(crate) fn size_greedy_with_stats(
     problem: &Problem,
     vdd: f64,
@@ -128,7 +120,10 @@ pub(crate) fn size_greedy_with_stats(
 }
 
 /// [`size_greedy_with_stats`] with an optional [`RunControl`] polled once
-/// per move.
+/// per move. The move loop runs on the warm evaluator: arrival state
+/// updated over the dirty cone per move, energy terms delta-maintained in
+/// the ledger and re-summed in index order at the end. TILOS never
+/// rejects a move, so no probe is reverted.
 pub(crate) fn size_greedy_with_stats_ctl(
     problem: &Problem,
     vdd: f64,
@@ -148,8 +143,7 @@ pub(crate) fn size_greedy_with_stats_ctl(
     if netlist.logic_gate_count() == 0 {
         return Err(OptimizeError::EmptyNetwork);
     }
-    let tech = model.technology();
-    let (w_lo, _) = tech.w_range;
+    let (w_lo, w_hi) = model.technology().w_range;
     let n = netlist.gate_count();
     assert_eq!(vt.len(), n, "one threshold per gate required");
 
@@ -161,12 +155,60 @@ pub(crate) fn size_greedy_with_stats_ctl(
     stats.count_eval();
     stats.count_sta(1);
     let delays = model.delays(&design);
-
-    if options.incremental {
-        greedy_incremental(problem, design, delays, &options, stats, control)
-    } else {
-        greedy_full(problem, design, delays, &options, stats, control)
+    let tc = problem.effective_cycle_time();
+    let fc = problem.fc();
+    let mut eval = IncrementalEval::new(model, design, delays, None, fc, tc, Some(stats.clone()));
+    let mut evaluations = 1usize;
+    let mut best_crit = f64::INFINITY;
+    for _move in 0..options.max_moves {
+        if let Some(e) = trip_to_error(control, &stats, evaluations) {
+            return Err(e);
+        }
+        let (crit, crit_gate) = eval.sta().critical_sink();
+        best_crit = best_crit.min(crit);
+        if crit <= tc {
+            // Ordered re-sum of the delta-maintained per-gate terms:
+            // bitwise what `total_energy` computes over the same design.
+            let energy = eval.energy();
+            return Ok(OptimizationResult {
+                energy,
+                critical_delay: crit,
+                feasible: true,
+                evaluations,
+                budgets: crate::budget::assign_max_delays(netlist, tc),
+                design: eval.into_design(),
+            });
+        }
+        // Walk the critical path; pick the move with the best
+        // Δdelay / Δenergy sensitivity.
+        let Some(cg) = crit_gate else { break };
+        let best = {
+            let (design, delays, arr) = eval.split();
+            best_sensitivity_move(
+                model,
+                netlist,
+                design,
+                delays,
+                arr,
+                cg,
+                w_hi,
+                options.step,
+                fc,
+            )
+        };
+        match best {
+            Some((i, _)) => {
+                let w_new = (eval.design().width[i] * options.step).min(w_hi);
+                eval.set_width(model, i, w_new);
+                evaluations += 1;
+            }
+            None => break, // every critical gate saturated
+        }
     }
+    Err(OptimizeError::Infeasible {
+        cycle_time: tc,
+        best_delay: best_crit,
+    })
 }
 
 /// Polls a (possibly absent) control, mapping a trip to the
@@ -189,9 +231,9 @@ fn trip_to_error(
 
 /// Walks the critical path from `crit_gate` toward the primary inputs and
 /// returns the move with the best Δdelay / Δenergy sensitivity
-/// `(gate, score)`, probing each candidate in place. Shared verbatim by
-/// the full and incremental move loops so both make identical decisions
-/// from identical values.
+/// `(gate, score)`, probing each candidate in place. Reads only the
+/// design, delays and arrivals, so a warm state that matches the dense one
+/// bit for bit makes the decisions a dense loop would.
 #[allow(clippy::too_many_arguments)]
 fn best_sensitivity_move(
     model: &CircuitModel,
@@ -240,149 +282,6 @@ fn best_sensitivity_move(
         }
     }
     best
-}
-
-/// The move loop on dense recomputation: a full arrival pass per move.
-/// Reference semantics for [`greedy_incremental`].
-fn greedy_full(
-    problem: &Problem,
-    mut design: Design,
-    mut delays: Vec<f64>,
-    options: &TilosOptions,
-    stats: Arc<EngineStats>,
-    control: Option<&RunControl>,
-) -> Result<OptimizationResult, OptimizeError> {
-    let model = problem.model();
-    let netlist = model.netlist();
-    let w_hi = model.technology().w_range.1;
-    let tc = problem.effective_cycle_time();
-    let sinks = virtual_sinks(netlist);
-    let mut arrival = Vec::new();
-    let mut evaluations = 1usize;
-    let mut best_crit = f64::INFINITY;
-    for _move in 0..options.max_moves {
-        if let Some(e) = trip_to_error(control, &stats, evaluations) {
-            return Err(e);
-        }
-        arrivals_into(netlist, &delays, &mut arrival);
-        let (crit, crit_gate) = sink_critical(&sinks, &arrival);
-        best_crit = best_crit.min(crit);
-        if crit <= tc {
-            let energy = model.total_energy(&design, problem.fc());
-            return Ok(OptimizationResult {
-                energy,
-                critical_delay: crit,
-                feasible: true,
-                evaluations,
-                budgets: crate::budget::assign_max_delays(netlist, tc),
-                design,
-            });
-        }
-        // Walk the critical path; pick the move with the best
-        // Δdelay / Δenergy sensitivity.
-        let Some(cg) = crit_gate else { break };
-        let best = best_sensitivity_move(
-            model,
-            netlist,
-            &mut design,
-            &delays,
-            &arrival,
-            cg,
-            w_hi,
-            options.step,
-            problem.fc(),
-        );
-        match best {
-            Some((i, _)) => {
-                design.width[i] = (design.width[i] * options.step).min(w_hi);
-                // Dense recompute, the `--no-incremental` contract: every
-                // gate delay re-evaluated from the device model. Lands on
-                // the same fixed point the incremental journal repairs to.
-                model.delays_into(&design, &mut delays);
-                stats.count_sta(1);
-                evaluations += 1;
-            }
-            None => break, // every critical gate saturated
-        }
-    }
-    Err(OptimizeError::Infeasible {
-        cycle_time: tc,
-        best_delay: best_crit,
-    })
-}
-
-/// The move loop on the incremental layers: persistent arrival state
-/// updated over the dirty cone per move, energy terms delta-maintained in
-/// a ledger and re-summed in index order at the end. Bit-identical to
-/// [`greedy_full`] (TILOS never rejects a move, so no reverts occur).
-fn greedy_incremental(
-    problem: &Problem,
-    design: Design,
-    delays: Vec<f64>,
-    options: &TilosOptions,
-    stats: Arc<EngineStats>,
-    control: Option<&RunControl>,
-) -> Result<OptimizationResult, OptimizeError> {
-    let model = problem.model();
-    let netlist = model.netlist();
-    let w_hi = model.technology().w_range.1;
-    let tc = problem.effective_cycle_time();
-    let fc = problem.fc();
-    let sinks = virtual_sinks(netlist);
-    let stats_ref = stats.clone();
-    let mut eval = IncrementalEval::new(model, design, delays, tc, stats);
-    let mut ledger = model.energy_ledger(eval.design(), fc);
-    let mut evaluations = 1usize;
-    let mut best_crit = f64::INFINITY;
-    for _move in 0..options.max_moves {
-        if let Some(e) = trip_to_error(control, &stats_ref, evaluations) {
-            return Err(e);
-        }
-        let (crit, crit_gate) = sink_critical(&sinks, eval.arrivals());
-        best_crit = best_crit.min(crit);
-        if crit <= tc {
-            // Ordered re-sum of the delta-maintained per-gate terms:
-            // bitwise what `total_energy` computes over the same design.
-            let energy = ledger.exact_total();
-            return Ok(OptimizationResult {
-                energy,
-                critical_delay: crit,
-                feasible: true,
-                evaluations,
-                budgets: crate::budget::assign_max_delays(netlist, tc),
-                design: eval.into_design(),
-            });
-        }
-        let Some(cg) = crit_gate else { break };
-        let best = {
-            let (design, delays, arr) = eval.split();
-            best_sensitivity_move(
-                model,
-                netlist,
-                design,
-                delays,
-                arr,
-                cg,
-                w_hi,
-                options.step,
-                fc,
-            )
-        };
-        match best {
-            Some((i, _)) => {
-                let w_new = (eval.design().width[i] * options.step).min(w_hi);
-                eval.try_width(i, w_new);
-                eval.accept();
-                ledger.on_width_change(model, eval.design(), GateId::new(i));
-                evaluations += 1;
-            }
-            None => break, // every critical gate saturated
-        }
-    }
-    Err(OptimizeError::Infeasible {
-        cycle_time: tc,
-        best_delay: best_crit,
-    })
 }
 
 #[cfg(test)]

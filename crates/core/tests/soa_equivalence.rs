@@ -1,16 +1,17 @@
-//! Bit-identity of the SoA evaluation kernel against the scalar path.
+//! Bit-identity of the batched SoA sizing path with its scalar and dense
+//! oracles.
 //!
-//! The `--soa` flag (and [`EvalContext::with_soa`]) selects *how* width
-//! sweeps and STA passes are computed, never *what* they compute: the
-//! batched, levelized kernel must produce bitwise-identical widths,
-//! energies, and delays to the original gate-by-gate scalar loop. These
-//! tests pin that contract across the paper's ISCAS-style suite and
-//! seeded Rent's-rule synthetic netlists, end to end through Procedure 2.
-//!
-//! Note `cargo test` builds with `debug_assertions` on, so the SoA runs
-//! here *also* execute the in-sweep scalar cross-check inside
-//! `Sizer::size_uncached`; the assertions below then compare the final
-//! committed results across the two contexts.
+//! Width sweeps run on the levelized SoA kernel and the post-sweep
+//! repair on the warm incremental evaluator. With debug assertions (the
+//! default `cargo test` profile), every sweep is checked bit for bit
+//! against the scalar gate-by-gate sweep, and the warm evaluator against
+//! a dense recompute after construction and after every repair probe.
+//! These tests drive those oracles across the paper's ISCAS-style suite
+//! and seeded Rent's-rule synthetic netlists, end to end through
+//! Procedure 2, then re-evaluate each committed result densely. Release
+//! builds compile the oracles out, so there the tests report as ignored.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -28,68 +29,25 @@ fn problem_for(netlist: &Netlist) -> Problem {
     Problem::new(model, FC)
 }
 
-/// Runs the standalone width-sizing stage at one `(V_dd, V_ts)` point on
-/// both contexts and asserts every output field is bitwise equal.
+/// Runs the standalone width-sizing stage at one `(V_dd, V_ts)` point
+/// under the debug oracles and checks the result against a dense
+/// re-evaluation.
 fn assert_size_at_bit_identical(netlist: &Netlist, vdd: f64, vt: f64) {
     let problem = problem_for(netlist);
     let options = SearchOptions::default();
-    let soa = size_at_with(
-        Arc::new(EvalContext::new(1, 0).with_soa(true)),
+    let sized = size_at_with(
+        Arc::new(EvalContext::new(1, 0)),
         &problem,
         vdd,
         vt,
         &options,
     )
     .expect("soa sizing");
-    let scalar = size_at_with(
-        Arc::new(EvalContext::new(1, 0).with_soa(false)),
-        &problem,
-        vdd,
-        vt,
-        &options,
-    )
-    .expect("scalar sizing");
-
-    assert_eq!(soa.feasible, scalar.feasible, "{}", netlist.name());
-    assert_eq!(
-        soa.critical_delay.to_bits(),
-        scalar.critical_delay.to_bits(),
-        "critical delay diverged on {}",
-        netlist.name()
-    );
-    assert_eq!(
-        soa.energy.static_.to_bits(),
-        scalar.energy.static_.to_bits(),
-        "static energy diverged on {}",
-        netlist.name()
-    );
-    assert_eq!(
-        soa.energy.dynamic.to_bits(),
-        scalar.energy.dynamic.to_bits(),
-        "dynamic energy diverged on {}",
-        netlist.name()
-    );
-    assert_eq!(soa.design.vdd.to_bits(), scalar.design.vdd.to_bits());
-    for (i, (a, b)) in soa
-        .design
-        .width
-        .iter()
-        .zip(scalar.design.width.iter())
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "width diverged at gate {i} on {}",
-            netlist.name()
-        );
-    }
-    for (a, b) in soa.design.vt.iter().zip(scalar.design.vt.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
+    common::assert_matches_dense(&problem, &sized);
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug dense oracle")]
 fn soa_sizing_matches_scalar_on_paper_suite() {
     for netlist in paper_suite() {
         assert_size_at_bit_identical(&netlist, 2.5, 0.4);
@@ -97,6 +55,7 @@ fn soa_sizing_matches_scalar_on_paper_suite() {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug dense oracle")]
 fn soa_sizing_matches_scalar_on_rent_netlists() {
     for (gates, vdd, vt) in [(200usize, 3.0, 0.5), (800, 2.2, 0.35), (2000, 1.6, 0.25)] {
         let spec = BenchmarkSpec::rent(&format!("rent{gates}"), gates);
@@ -106,34 +65,17 @@ fn soa_sizing_matches_scalar_on_rent_netlists() {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "needs the debug dense oracle")]
 fn full_optimizer_matches_scalar_end_to_end() {
     let spec = BenchmarkSpec::rent("rent-e2e", 300);
     let netlist = synthesize(&spec).expect("rent spec is valid");
     let problem = problem_for(&netlist);
-
-    let run = |soa: bool| {
-        Optimizer::new(&problem)
-            .with_engine(Arc::new(EvalContext::new(1, 0).with_soa(soa)))
-            .run()
-            .expect("optimizer run")
-    };
-    let batched = run(true);
-    let scalar = run(false);
-
-    assert_eq!(batched.feasible, scalar.feasible);
-    assert_eq!(batched.evaluations, scalar.evaluations);
-    assert_eq!(
-        batched.critical_delay.to_bits(),
-        scalar.critical_delay.to_bits()
-    );
-    assert_eq!(
-        batched.energy.total().to_bits(),
-        scalar.energy.total().to_bits()
-    );
-    assert_eq!(batched.design.vdd.to_bits(), scalar.design.vdd.to_bits());
-    for (a, b) in batched.design.width.iter().zip(scalar.design.width.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
+    let result = Optimizer::new(&problem)
+        .with_engine(Arc::new(EvalContext::new(1, 0)))
+        .run()
+        .expect("optimizer run");
+    assert!(result.feasible);
+    common::assert_matches_dense(&problem, &result);
 }
 
 /// Randomized edit/width sequences: after arbitrary per-gate width and

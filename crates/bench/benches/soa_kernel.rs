@@ -12,8 +12,8 @@
 //!   (transcribed from the budgeted sizer, as in the kernel's unit
 //!   tests). The batched path bisects each gate against hoisted
 //!   per-lane constants, so the transcendental work (`powf`, `exp`) is
-//!   paid once per gate per sweep instead of once per probe — this is
-//!   the number the >= 2x acceptance target applies to.
+//!   paid once per distinct (Vdd, Vt) per sweep instead of once per
+//!   probe — this is the number the >= 2x acceptance target applies to.
 //!
 //! Both paths are bit-identical by contract; every run here asserts it
 //! on the actual results (critical delay, widths). End-to-end sizing,

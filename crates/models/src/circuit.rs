@@ -1,6 +1,8 @@
 //! Whole-circuit evaluation: per-gate delay and energy, critical path,
 //! totals.
 
+use std::sync::OnceLock;
+
 use minpower_activity::{Activities, InputActivity};
 use minpower_device::Technology;
 use minpower_netlist::{GateId, GateKind, Netlist};
@@ -80,6 +82,9 @@ pub struct CircuitModel {
     pub(crate) tech: Technology,
     pub(crate) info: Vec<GateInfo>,
     pub(crate) topo: Vec<u32>,
+    /// [`CircuitModel::fingerprint`], computed on first use: the model
+    /// is immutable after construction.
+    fingerprint: OnceLock<u64>,
 }
 
 impl CircuitModel {
@@ -147,6 +152,7 @@ impl CircuitModel {
             tech,
             info,
             topo,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -184,8 +190,12 @@ impl CircuitModel {
     /// per-gate activities, and every technology parameter. Two models
     /// with equal fingerprints evaluate any design identically (modulo an
     /// FNV collision), which is what lets the evaluation cache salt its
-    /// keys with this value.
+    /// keys with this value. Hashed once per model, then cached.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         let t = &self.tech;
         let mut words: Vec<u64> = Vec::with_capacity(8 * self.info.len() + 32);
         words.extend(self.netlist.name().bytes().map(u64::from));
@@ -621,6 +631,22 @@ mod tests {
 
     fn model(netlist: &Netlist) -> CircuitModel {
         CircuitModel::with_uniform_activity(netlist, Technology::dac97(), 0.5, 0.5)
+    }
+
+    #[test]
+    fn fingerprint_is_cached_per_model_and_tracks_activity() {
+        let n = chain(4);
+        let m = model(&n);
+        let cold = m.clone();
+        let fp = m.fingerprint();
+        assert_eq!(fp, m.compute_fingerprint());
+        assert_eq!(m.fingerprint(), fp);
+        // A clone taken after the first call carries the cached value; one
+        // taken before hashes afresh. Both agree with the original.
+        assert_eq!(m.clone().fingerprint(), fp);
+        assert_eq!(cold.fingerprint(), fp);
+        let other = CircuitModel::with_uniform_activity(&n, Technology::dac97(), 0.5, 0.25);
+        assert_ne!(other.fingerprint(), fp);
     }
 
     #[test]

@@ -108,23 +108,21 @@ impl SoaKernel {
         self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize
     }
 
-    /// [`CircuitModel::gate_delay`] over the flat arrays — bitwise the
-    /// same value for the same inputs.
+    /// [`CircuitModel::gate_delay`] of logic gate `i` over the flat
+    /// arrays, given its `(vdd, vt)` device terms. `k_drive·w·od_pow` and
+    /// `w·leak_per_w` multiply in the order of `drive_current` /
+    /// `off_current`, so the value is bitwise the scalar one.
     #[inline]
-    pub fn gate_delay(&self, design: &Design, i: usize, max_fanin_delay: f64) -> f64 {
-        if self.is_input[i] {
-            return 0.0;
-        }
+    fn gate_delay(&self, terms: &VtTerms, design: &Design, i: usize, max_fanin_delay: f64) -> f64 {
         let vdd = design.vdd;
-        let vt = design.vt[i];
         let w = design.width[i];
         let tech = &self.tech;
 
-        let slope_coeff = (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0);
-        let t_slope = slope_coeff * max_fanin_delay;
+        let t_slope = terms.slope_coeff * max_fanin_delay;
 
-        let i_on = tech.drive_current(w, vdd, vt) / self.stack[i];
-        let i_leak = self.fanin_count[i] * tech.off_current(w, vt);
+        let i_full = tech.k_drive * w * terms.od_pow;
+        let i_on = i_full / self.stack[i];
+        let i_leak = self.fanin_count[i] * (w * terms.leak_per_w);
         let i_drive = i_on - i_leak;
         if i_drive <= 0.0 {
             return f64::INFINITY;
@@ -146,26 +144,32 @@ impl SoaKernel {
         }
         let t_switch = vdd / 2.0 * c_load / i_drive;
 
-        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd
-            / tech.drive_current(w, vdd, vt);
+        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd / i_full;
 
         t_slope + t_switch + t_internal + t_wire
     }
 
     /// [`CircuitModel::delays_into`] as a levelized sweep: bitwise the
-    /// same vector, one contiguous pass per level.
+    /// same vector, one contiguous pass per level. The `(vdd, vt)` device
+    /// terms are recomputed only when a gate's Vt differs from the last
+    /// logic gate's.
     pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
         delays.clear();
         delays.resize(self.gate_count(), 0.0);
+        let mut memo = VtMemo::new(&self.tech, design.vdd);
         for &i in self.csr.order() {
             let i = i as usize;
+            if self.is_input[i] {
+                continue;
+            }
             let max_fanin = self
                 .csr
                 .fanin_of(i)
                 .iter()
                 .map(|&f| delays[f as usize])
                 .fold(0.0, f64::max);
-            delays[i] = self.gate_delay(design, i, max_fanin);
+            let terms = memo.get(design.vt[i]);
+            delays[i] = self.gate_delay(terms, design, i, max_fanin);
         }
     }
 
@@ -242,7 +246,9 @@ impl SoaKernel {
     /// sink widths) are hoisted into `scratch` lanes once, then each
     /// lane's `steps` bisection iterations probe against the hoisted
     /// constants — a handful of mul/add per probe instead of a full
-    /// `gate_delay` with its two `powf`s.
+    /// `gate_delay` with its two `powf`s. The `(vdd, vt)` device terms
+    /// come from a one-entry memo on the last lane's Vt, so their
+    /// transcendentals are paid once per distinct Vt run, not per gate.
     ///
     /// Semantics are exactly the scalar sweep of the budgeted sizer: each
     /// gate's width is bisected to the smallest value whose delay meets
@@ -276,6 +282,7 @@ impl SoaKernel {
         let tech = &self.tech;
         let (w_lo, w_hi) = tech.w_range;
         let vdd = design.vdd;
+        let mut memo = VtMemo::new(tech, vdd);
         let mut max_rel_change = 0.0f64;
         for level in 0..self.csr.level_count() {
             // Build lanes: hoist every width-independent term.
@@ -285,8 +292,7 @@ impl SoaKernel {
                 if self.is_input[i] {
                     continue;
                 }
-                let vt = design.vt[i];
-                let slope_coeff = (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0);
+                let terms = *memo.get(design.vt[i]);
                 let max_fanin = self
                     .csr
                     .fanin_of(i)
@@ -313,14 +319,10 @@ impl SoaKernel {
                 }
                 scratch.term_offsets.push(scratch.terms.len() as u32);
                 scratch.gate.push(gi);
-                scratch.t_slope.push(slope_coeff * max_fanin);
+                scratch.t_slope.push(terms.slope_coeff * max_fanin);
                 scratch.t_wire.push(t_wire);
-                scratch
-                    .od_pow
-                    .push(tech.overdrive(vdd, vt).powf(tech.alpha));
-                scratch.leak_per_w.push(
-                    tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
-                );
+                scratch.od_pow.push(terms.od_pow);
+                scratch.leak_per_w.push(terms.leak_per_w);
                 scratch
                     .cmi_pre
                     .push((self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi);
@@ -363,6 +365,60 @@ impl SoaKernel {
             }
         }
         max_rel_change
+    }
+}
+
+/// The terms of `gate_delay` that depend on `(vdd, vt)` alone: the
+/// transcendentals of the slope coefficient, `drive_current` and
+/// `off_current`, with the width factored out.
+#[derive(Debug, Clone, Copy)]
+struct VtTerms {
+    /// `max(1/2 − (1 − vt/vdd)/(1 + α), 0)`, the input-slope coefficient.
+    slope_coeff: f64,
+    /// `overdrive(vdd, vt)^α`: `drive_current(w) = k_drive·w·od_pow`.
+    od_pow: f64,
+    /// `off_current(w, vt) = w·leak_per_w`.
+    leak_per_w: f64,
+}
+
+impl VtTerms {
+    fn new(tech: &minpower_device::Technology, vdd: f64, vt: f64) -> Self {
+        VtTerms {
+            slope_coeff: (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0),
+            od_pow: tech.overdrive(vdd, vt).powf(tech.alpha),
+            leak_per_w: tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
+        }
+    }
+}
+
+/// One-entry memo of [`VtTerms`] at a fixed Vdd, keyed on the bits of
+/// the last Vt asked for. A uniform-Vt design pays the transcendentals
+/// once per pass; any Vt change (`-0.0` vs `0.0` included) recomputes.
+/// Invariant: `terms == VtTerms::new(tech, vdd, f64::from_bits(key))`.
+struct VtMemo<'a> {
+    tech: &'a minpower_device::Technology,
+    vdd: f64,
+    key: u64,
+    terms: VtTerms,
+}
+
+impl<'a> VtMemo<'a> {
+    fn new(tech: &'a minpower_device::Technology, vdd: f64) -> Self {
+        VtMemo {
+            tech,
+            vdd,
+            key: 0f64.to_bits(),
+            terms: VtTerms::new(tech, vdd, 0.0),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, vt: f64) -> &VtTerms {
+        if vt.to_bits() != self.key {
+            self.key = vt.to_bits();
+            self.terms = VtTerms::new(self.tech, self.vdd, vt);
+        }
+        &self.terms
     }
 }
 
@@ -606,6 +662,145 @@ mod tests {
             let id = GateId::new(i);
             if n.gate(id).kind() != GateKind::Input {
                 assert_eq!(d.width[i], w_hi, "gate {i}");
+            }
+        }
+    }
+
+    /// A levelized network, `levels` deep and `width` wide: each gate
+    /// reads two gates of the previous level and, from level 2 on, one
+    /// of the level before that, so levels hold many lanes and sinks span
+    /// levels.
+    fn layered(levels: usize, width: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("layered");
+        let kinds = [GateKind::Nand, GateKind::Nor, GateKind::And, GateKind::Or];
+        let name = |l: usize, k: usize| format!("g{l}_{k}");
+        for k in 0..width {
+            b.input(&name(0, k)).unwrap();
+        }
+        for l in 1..=levels {
+            for k in 0..width {
+                let mut fanin = vec![name(l - 1, k), name(l - 1, (k + 1) % width)];
+                if l >= 2 && k % 3 == 0 {
+                    fanin.push(name(l - 2, (k + 2) % width));
+                }
+                let fanin: Vec<&str> = fanin.iter().map(String::as_str).collect();
+                let kind = if k % 5 == 4 {
+                    GateKind::Not
+                } else {
+                    kinds[(l + k) % kinds.len()]
+                };
+                let fanin = if kind == GateKind::Not {
+                    &fanin[..1]
+                } else {
+                    &fanin[..]
+                };
+                b.gate(&name(l, k), kind, fanin).unwrap();
+            }
+        }
+        for k in 0..width {
+            b.output(&name(levels, k)).unwrap();
+        }
+        b.output(&name(levels / 2, 1)).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// Per-gate Vt patterns that change the memo's key in every way a
+    /// sized design can: two values alternating gate to gate, one value
+    /// per level, every value distinct, and a signed-zero pair.
+    fn vt_patterns(n: &Netlist) -> Vec<(&'static str, Vec<f64>)> {
+        let gates = 0..n.gate_count();
+        vec![
+            (
+                "alternating",
+                gates
+                    .clone()
+                    .map(|i| if i % 2 == 0 { 0.3 } else { 0.42 })
+                    .collect(),
+            ),
+            (
+                "per-level",
+                gates
+                    .clone()
+                    .map(|i| 0.2 + 0.05 * n.level(GateId::new(i)) as f64)
+                    .collect(),
+            ),
+            (
+                "distinct",
+                gates.clone().map(|i| 0.18 + 0.003 * i as f64).collect(),
+            ),
+            (
+                "signed-zero",
+                gates
+                    .map(|i| match i % 3 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => 0.35,
+                    })
+                    .collect(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn vt_memo_key_changes_match_scalar_bitwise() {
+        let n = layered(7, 9);
+        let m = model(&n);
+        let k = SoaKernel::new(&m);
+        let gates = n.gate_count();
+        let budgets: Vec<f64> = (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect();
+        let mut scratch = SizeScratch::new();
+        for (pattern, vt) in vt_patterns(&n) {
+            for vdd in [0.8, 1.5, 3.3] {
+                let mut d = Design::uniform(&n, vdd, 0.3, 2.0);
+                d.vt.clone_from(&vt);
+                for i in 0..gates {
+                    d.width[i] = 1.0 + (i % 7) as f64 * 1.7;
+                }
+
+                // `timing_into` runs `delays_into`, then the arrivals.
+                let (mut kd, mut ka, mut md, mut ma) =
+                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                let crit = k.timing_into(&d, &mut kd, &mut ka);
+                let mcrit = m.timing_into(&d, &mut md, &mut ma);
+                assert_eq!(
+                    crit.to_bits(),
+                    mcrit.to_bits(),
+                    "{pattern} vdd {vdd}: critical"
+                );
+                for i in 0..gates {
+                    assert_eq!(
+                        kd[i].to_bits(),
+                        md[i].to_bits(),
+                        "{pattern} vdd {vdd}: delay {i}"
+                    );
+                    assert_eq!(
+                        ka[i].to_bits(),
+                        ma[i].to_bits(),
+                        "{pattern} vdd {vdd}: arrival {i}"
+                    );
+                }
+
+                let mut batched = d.clone();
+                let mut scalar = d;
+                let mut last_delays = budgets.clone();
+                for sweep in 0..3 {
+                    let rb =
+                        k.size_sweep(&mut batched, &budgets, &last_delays, 12, 0.97, &mut scratch);
+                    let rs = scalar_sweep(&m, &mut scalar, &budgets, &last_delays, 12, 0.97);
+                    assert_eq!(
+                        rb.to_bits(),
+                        rs.to_bits(),
+                        "{pattern} vdd {vdd} sweep {sweep}"
+                    );
+                    for i in 0..gates {
+                        assert_eq!(
+                            batched.width[i].to_bits(),
+                            scalar.width[i].to_bits(),
+                            "{pattern} vdd {vdd} sweep {sweep}: width {i}"
+                        );
+                    }
+                    m.delays_into(&scalar, &mut last_delays);
+                }
             }
         }
     }

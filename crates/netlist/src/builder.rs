@@ -1,6 +1,6 @@
 //! Incremental netlist construction.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateKind};
@@ -34,7 +34,10 @@ pub struct NetlistBuilder {
     name: String,
     gates: Vec<Gate>,
     by_name: HashMap<String, GateId>,
+    /// Declared outputs in first-declaration order; `output_set` holds
+    /// the same ids for `O(1)` deduplication.
     outputs: Vec<GateId>,
+    output_set: HashSet<GateId>,
     flip_flop_count: usize,
 }
 
@@ -46,6 +49,7 @@ impl NetlistBuilder {
             gates: Vec::new(),
             by_name: HashMap::new(),
             outputs: Vec::new(),
+            output_set: HashSet::new(),
             flip_flop_count: 0,
         }
     }
@@ -117,7 +121,7 @@ impl NetlistBuilder {
             .get(name)
             .copied()
             .ok_or_else(|| NetlistError::UnknownOutput(name.to_string()))?;
-        if !self.outputs.contains(&id) {
+        if self.output_set.insert(id) {
             self.outputs.push(id);
         }
         Ok(())
@@ -246,11 +250,22 @@ mod tests {
     fn duplicate_output_declaration_is_idempotent() {
         let mut b = NetlistBuilder::new("t");
         b.input("a").unwrap();
-        b.gate("y", GateKind::Not, &["a"]).unwrap();
-        b.output("y").unwrap();
-        b.output("y").unwrap();
+        b.gate("x", GateKind::Not, &["a"]).unwrap();
+        b.gate("y", GateKind::Not, &["x"]).unwrap();
+        b.gate("z", GateKind::Not, &["y"]).unwrap();
+        for name in ["y", "x", "y", "z", "x", "z", "y"] {
+            b.output(name).unwrap();
+        }
         let n = b.finish().unwrap();
-        assert_eq!(n.outputs().len(), 1);
+        // One entry per net, in first-declaration order.
+        let names: Vec<&str> = n.outputs().iter().map(|&o| n.gate(o).name()).collect();
+        assert_eq!(names, ["y", "x", "z"]);
+        for (i, g) in n.gates().iter().enumerate() {
+            assert_eq!(
+                n.is_output(GateId::new(i)),
+                ["x", "y", "z"].contains(&g.name())
+            );
+        }
     }
 
     #[test]

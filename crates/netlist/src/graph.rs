@@ -26,6 +26,8 @@ pub struct Netlist {
     by_name: HashMap<String, GateId>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
+    /// `is_output_mask[i]` iff gate `i` is in `outputs`.
+    is_output_mask: Vec<bool>,
     fanout: Vec<Vec<GateId>>,
     topo: Vec<GateId>,
     level: Vec<usize>,
@@ -87,6 +89,10 @@ impl Netlist {
             .enumerate()
             .map(|(i, g)| (g.name.clone(), GateId::new(i)))
             .collect();
+        let mut is_output_mask = vec![false; n];
+        for &o in &outputs {
+            is_output_mask[o.index()] = true;
+        }
 
         Ok(Netlist {
             name,
@@ -94,6 +100,7 @@ impl Netlist {
             by_name,
             inputs,
             outputs,
+            is_output_mask,
             fanout,
             topo,
             level,
@@ -148,9 +155,14 @@ impl Netlist {
         &self.outputs
     }
 
-    /// Whether `id` is a declared primary output.
+    /// Whether `id` is a declared primary output. `O(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this netlist, as
+    /// [`Netlist::gate`] does.
     pub fn is_output(&self, id: GateId) -> bool {
-        self.outputs.contains(&id)
+        self.is_output_mask[id.index()]
     }
 
     /// Gates driven by `id` (the transpose adjacency).

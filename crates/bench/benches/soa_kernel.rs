@@ -14,6 +14,11 @@
 //!   per-lane constants, so the transcendental work (`powf`, `exp`) is
 //!   paid once per distinct (Vdd, Vt) per sweep instead of once per
 //!   probe — this is the number the >= 2x acceptance target applies to.
+//!   Every timed repeat starts from a fresh `SizeScratch`, as `size_at`
+//!   does, so the first sweep is cold; the batched number includes the
+//!   second sweep's warm-lane reuse (gates whose inputs did not change
+//!   keep their width without a bisection). The lanes bisected and
+//!   reused are printed under the table.
 //!
 //! Both paths are bit-identical by contract; every run here asserts it
 //! on the actual results (critical delay, widths). End-to-end sizing,
@@ -66,6 +71,9 @@ struct Row {
     dense_soa: f64,
     probe_serial: f64,
     probe_batched: f64,
+    /// Lanes bisected and reused by one timed batched run.
+    lanes_bisected: u64,
+    lanes_reused: u64,
 }
 
 impl Row {
@@ -150,21 +158,24 @@ fn serial_sweep(
 /// Times `SWEEPS` coupled sizing sweeps (widths from minimum, budgets
 /// from Procedure 1, delays recomputed between sweeps) through either
 /// the batched kernel or the serial loop; returns the best wall over
-/// `iters` repeats and the final widths for the bit-identity check.
+/// `iters` repeats, the final widths for the bit-identity check, and the
+/// last repeat's lanes bisected and reused.
 fn time_probes(
     problem: &Problem,
     kernel: &SoaKernel,
     budgets: &[f64],
     batched: bool,
     iters: usize,
-) -> (f64, Vec<f64>) {
+) -> (f64, Vec<f64>, (u64, u64)) {
     let model = problem.model();
     let netlist = model.netlist();
     let w_lo = model.technology().w_range.0;
     let mut best = f64::INFINITY;
     let mut widths = Vec::new();
-    let mut scratch = SizeScratch::new();
+    let mut lanes = (0, 0);
     for _ in 0..iters {
+        // Cold, like every `size_at`: no lane is reused from a repeat.
+        let mut scratch = SizeScratch::new();
         let mut design = Design::uniform(netlist, VDD, VT, w_lo);
         let mut last_delays = budgets.to_vec();
         let mut sweep_delays = Vec::new();
@@ -188,8 +199,9 @@ fn time_probes(
         }
         best = best.min(t0.elapsed().as_secs_f64());
         widths = design.width;
+        lanes = (scratch.lanes_bisected(), scratch.lanes_reused());
     }
-    (best, widths)
+    (best, widths, lanes)
 }
 
 fn measure(gates: usize, iters: usize) -> Row {
@@ -230,8 +242,9 @@ fn measure(gates: usize, iters: usize) -> Row {
         problem.effective_cycle_time(),
         BudgetPolicy::FanoutWeighted,
     );
-    let (probe_serial, w_serial) = time_probes(&problem, &kernel, &budgets, false, iters);
-    let (probe_batched, w_batched) = time_probes(&problem, &kernel, &budgets, true, iters);
+    let (probe_serial, w_serial, _) = time_probes(&problem, &kernel, &budgets, false, iters);
+    let (probe_batched, w_batched, (lanes_bisected, lanes_reused)) =
+        time_probes(&problem, &kernel, &budgets, true, iters);
     for (i, (a, b)) in w_batched.iter().zip(w_serial.iter()).enumerate() {
         assert_eq!(
             a.to_bits(),
@@ -247,6 +260,8 @@ fn measure(gates: usize, iters: usize) -> Row {
         dense_soa,
         probe_serial,
         probe_batched,
+        lanes_bisected,
+        lanes_reused,
     }
 }
 
@@ -318,6 +333,16 @@ fn main() {
             row.probe_speedup(),
         );
         rows.push(row);
+    }
+    for row in &rows {
+        let lanes = row.lanes_bisected + row.lanes_reused;
+        println!(
+            "{:>9} gates: {SWEEPS} batched sweeps bisected {} lanes, reused {} ({:.1}%)",
+            row.gates,
+            row.lanes_bisected,
+            row.lanes_reused,
+            100.0 * row.lanes_reused as f64 / lanes.max(1) as f64,
+        );
     }
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_soa.json");

@@ -14,10 +14,16 @@
 //! two `powf`s, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
 //! embarrassingly independent across gates (each bisection reads only
 //! *previous-sweep* sink widths and the fixed budget vector), so
-//! [`SoaKernel::size_sweep`] hoists those invariants into per-level lane
-//! arrays once and runs each lane's `M` bisection steps against the
-//! hoisted constants — a handful of mul/add per probe instead of a full
-//! `gate_delay`.
+//! [`SoaKernel::size_sweep`] hoists those invariants once per gate ("lane")
+//! and bisects the lanes in 4-lane lockstep blocks against the hoisted
+//! constants — a handful of mul/add per probe instead of a full
+//! `gate_delay`, four independent probe chains in flight at once.
+//!
+//! The same independence makes a lane's result a pure function of the
+//! inputs its bisection reads. [`SizeScratch`] remembers those inputs per
+//! gate across the fixed-point sweeps that share it, and a lane whose
+//! inputs are bitwise unchanged takes its remembered width instead of
+//! being bisected again ("warm lanes").
 //!
 //! Bit-identity contract: every method here produces bitwise the value of
 //! its [`CircuitModel`] counterpart. The hoists are exact — `drive_current
@@ -27,6 +33,8 @@
 //! gate index order for energy sums) are preserved by construction.
 //! `minpower-core` cross-checks the batched sweep against the scalar one
 //! gate-for-gate in debug builds.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use minpower_netlist::LevelizedCsr;
 
@@ -38,10 +46,19 @@ use crate::energy::EnergyBreakdown;
 /// of the model's fanout list).
 const PO_SENTINEL: u32 = u32::MAX;
 
+/// Lanes bisected together, step by step, in [`SoaKernel::size_sweep`].
+const BLOCK: usize = 4;
+
+/// Source of [`SoaKernel`] identities (see `SoaKernel::id`).
+static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(0);
+
 /// Flat, levelized mirror of a [`CircuitModel`]: per-gate constants and
 /// fanout edges as parallel arrays. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SoaKernel {
+    /// Process-unique identity, part of [`SizeScratch`]'s warm-lane key.
+    /// A kernel never changes after [`SoaKernel::new`], so clones share it.
+    id: u64,
     csr: LevelizedCsr,
     tech: minpower_device::Technology,
     is_input: Vec<bool>,
@@ -63,6 +80,7 @@ impl SoaKernel {
     pub fn new(model: &CircuitModel) -> Self {
         let n = model.info.len();
         let mut kernel = SoaKernel {
+            id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
             csr: LevelizedCsr::new(&model.netlist),
             tech: model.tech.clone(),
             is_input: Vec::with_capacity(n),
@@ -240,15 +258,15 @@ impl SoaKernel {
         total
     }
 
-    /// One fixed-point width-sizing sweep of Procedure 2, batched: for
-    /// each level, the per-gate width-independent terms (slope, wire RC,
-    /// `overdrive^α`, per-width leakage, load terms from previous-sweep
-    /// sink widths) are hoisted into `scratch` lanes once, then each
-    /// lane's `steps` bisection iterations probe against the hoisted
-    /// constants — a handful of mul/add per probe instead of a full
-    /// `gate_delay` with its two `powf`s. The `(vdd, vt)` device terms
-    /// come from a one-entry memo on the last lane's Vt, so their
-    /// transcendentals are paid once per distinct Vt run, not per gate.
+    /// One fixed-point width-sizing sweep of Procedure 2, batched: each
+    /// gate's width-independent terms (slope, wire RC, `overdrive^α`,
+    /// per-width leakage, load terms from previous-sweep sink widths) are
+    /// hoisted into a lane of `scratch` once, then its `steps` bisection
+    /// iterations probe against the hoisted constants — a handful of
+    /// mul/add per probe instead of a full `gate_delay` with its two
+    /// `powf`s. The `(vdd, vt)` device terms come from a one-entry memo on
+    /// the last lane's Vt, so their transcendentals are paid once per
+    /// distinct Vt run, not per gate.
     ///
     /// Semantics are exactly the scalar sweep of the budgeted sizer: each
     /// gate's width is bisected to the smallest value whose delay meets
@@ -257,12 +275,40 @@ impl SoaKernel {
     /// minimum-width endpoint tried after the bisection, and the maximum
     /// width kept when no probe was feasible. Within one sweep gates are
     /// independent — a gate's probes read only sink widths (strictly later
-    /// levels, untouched this sweep) and the fixed `budgets` /
-    /// `last_delays` — so the level ordering produces bitwise the widths
-    /// of the scalar gate-by-gate loop.
+    /// levels, untouched until the gate itself is visited) and the fixed
+    /// `budgets` / `last_delays` — so any interleaving of the lanes that
+    /// hoists each gate before its sinks commit produces bitwise the
+    /// widths of the scalar gate-by-gate loop.
+    ///
+    /// **Warm lanes.** That independence makes each gate's new width a
+    /// pure function of what its bisection reads: the folded slope input,
+    /// `budgets[i] * margin`, `vt[i]`, its non-output sink widths, and —
+    /// fixed for the call — `vdd`, `steps`, `margin` and the kernel.
+    /// `scratch` keeps, per gate, the bits of the first three and the
+    /// width they produced, keyed on `(vdd, steps, margin, kernel)`, where
+    /// the kernel is a process-unique id, not an address; a key change
+    /// makes the next sweep cold. A gate whose inputs all match bitwise is
+    /// not bisected: it takes the remembered width. Sink widths need no
+    /// per-edge copy. Every reader of a sink sits in an earlier level, so
+    /// it reads the sink's width before the sink is visited; the scratch
+    /// records, per gate, its width when the sweep visits it. A reader
+    /// whose sinks all still hold the width recorded at the previous sweep
+    /// sees what it saw then, and by induction what it saw when it was
+    /// last bisected. Edits to `design.width` between sweeps are therefore
+    /// caught like any other change.
+    ///
+    /// **Lockstep lanes.** The lanes that need bisecting fill blocks of
+    /// four in topological order; a full block is bisected step by step,
+    /// all four lanes at once, with branchless lo/hi/feasible selects
+    /// (padding lanes of the last block get a target of `-inf`). One
+    /// lane's probes form a serial chain — three divisions, a load fold
+    /// and an unpredictable branch each — bound by latency and
+    /// mispredictions; four independent chains overlap it. Each probe is
+    /// still the scalar expression tree, so only the interleaving changes.
     ///
     /// Returns the sweep's maximum relative width change (the scalar
-    /// loop's convergence measure, same fold).
+    /// loop's convergence measure, same fold), computed against the
+    /// width each gate held on entry whether it was bisected or not.
     ///
     /// # Panics
     ///
@@ -280,90 +326,112 @@ impl SoaKernel {
         debug_assert_eq!(budgets.len(), self.gate_count());
         debug_assert_eq!(last_delays.len(), self.gate_count());
         let tech = &self.tech;
-        let (w_lo, w_hi) = tech.w_range;
+        let w_lo = tech.w_range.0;
         let vdd = design.vdd;
-        let mut memo = VtMemo::new(tech, vdd);
+        let key = MemoKey {
+            vdd: vdd.to_bits(),
+            steps,
+            margin: margin.to_bits(),
+            kernel: self.id,
+        };
+        // Taken, not read: a sweep that unwinds part-way leaves the
+        // scratch cold (and its half-filled block is dropped below).
+        let warm = scratch.key.take() == Some(key);
+        if !warm {
+            scratch.block = Block::default();
+            scratch.memo.clear();
+            scratch.memo.resize(self.gate_count(), LaneMemo::default());
+            scratch.seen_width.clear();
+            scratch.seen_width.resize(self.gate_count(), 0.0);
+        }
+        let mut vt_memo = VtMemo::new(tech, vdd);
         let mut max_rel_change = 0.0f64;
-        for level in 0..self.csr.level_count() {
-            // Build lanes: hoist every width-independent term.
-            scratch.clear();
-            for &gi in self.csr.level(level) {
-                let i = gi as usize;
-                if self.is_input[i] {
-                    continue;
-                }
-                let terms = *memo.get(design.vt[i]);
-                let max_fanin = self
-                    .csr
-                    .fanin_of(i)
-                    .iter()
-                    .map(|&f| {
-                        let j = f as usize;
-                        budgets[j].min(last_delays[j] * 1.05)
-                    })
-                    .fold(0.0, f64::max);
-                let mut t_wire: f64 = 0.0;
-                for e in self.edges(i) {
-                    let t = self.edge_target[e];
-                    let sink_w = if t == PO_SENTINEL {
-                        PO_LOAD_WIDTHS
-                    } else {
-                        design.width[t as usize]
-                    };
-                    let c_sink = sink_w * tech.c_in;
-                    scratch.terms.push(c_sink + self.edge_c_int[e]);
-                    t_wire = t_wire.max(
-                        self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0)
-                            + self.edge_flight[e],
-                    );
-                }
-                scratch.term_offsets.push(scratch.terms.len() as u32);
-                scratch.gate.push(gi);
-                scratch.t_slope.push(terms.slope_coeff * max_fanin);
-                scratch.t_wire.push(t_wire);
-                scratch.od_pow.push(terms.od_pow);
-                scratch.leak_per_w.push(terms.leak_per_w);
-                scratch
-                    .cmi_pre
-                    .push((self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi);
-                scratch.stack.push(self.stack[i]);
-                scratch.fanin_count.push(self.fanin_count[i]);
-                scratch.target.push(budgets[i] * margin);
+        // Topological order, one block at a time: a block is bisected as
+        // soon as it fills, even across levels, because a committed width
+        // is read only by the gate's drivers, which were visited (and
+        // hoisted their loads) before it.
+        for &gi in self.csr.order() {
+            let i = gi as usize;
+            if self.is_input[i] {
+                continue;
             }
-            let lanes = scratch.gate.len();
-            // Lane-major bisection: each lane runs its `steps` iterations
-            // plus the minimum-width endpoint to completion against its
-            // (cache-resident) hoisted constants, then commits. Lanes are
-            // independent within a sweep, so this evaluation order gives
-            // bitwise the gate-by-gate widths; lane-major beats step-major
-            // passes because a level's lane arrays at 10⁵⁺ gates exceed
-            // cache and `steps` full passes over them go memory-bound.
-            for l in 0..lanes {
-                let target = scratch.target[l];
-                let mut lo = w_lo;
-                let mut hi = w_hi;
-                let mut feasible = f64::NAN;
-                for _ in 0..steps {
-                    let w = 0.5 * (lo + hi);
-                    if scratch.probe_delay(tech, vdd, l, w) <= target {
-                        feasible = w;
-                        hi = w;
-                    } else {
-                        lo = w;
-                    }
-                }
-                // Minimum-width endpoint the bisection never lands on.
-                if scratch.probe_delay(tech, vdd, l, w_lo) <= target {
-                    feasible = w_lo;
-                }
-                let i = scratch.gate[l] as usize;
-                let before = design.width[i];
-                let w_new = if feasible.is_nan() { w_hi } else { feasible };
+            let vt = design.vt[i];
+            let max_fanin = self
+                .csr
+                .fanin_of(i)
+                .iter()
+                .map(|&f| {
+                    let j = f as usize;
+                    budgets[j].min(last_delays[j] * 1.05)
+                })
+                .fold(0.0, f64::max);
+            let target = budgets[i] * margin;
+            let before = design.width[i];
+            let inputs = LaneInputs {
+                slope_in: max_fanin.to_bits(),
+                target: target.to_bits(),
+                vt: vt.to_bits(),
+            };
+            let reuse = warm
+                && scratch.memo[i].inputs == inputs
+                && self.edges(i).all(|e| {
+                    let t = self.edge_target[e];
+                    t == PO_SENTINEL
+                        || design.width[t as usize].to_bits()
+                            == scratch.seen_width[t as usize].to_bits()
+                });
+            scratch.seen_width[i] = before;
+            if reuse {
+                scratch.lanes_reused += 1;
+                let w_new = scratch.memo[i].width;
                 design.width[i] = w_new;
                 let rel = (w_new - before).abs() / before.max(w_lo);
                 max_rel_change = max_rel_change.max(rel);
+                continue;
+            }
+            scratch.memo[i].inputs = inputs;
+            scratch.lanes_bisected += 1;
+
+            // Hoist every width-independent term into the next block lane.
+            let terms = *vt_memo.get(vt);
+            let block = &mut scratch.block;
+            let k = block.len;
+            let mut t_wire: f64 = 0.0;
+            for (row, e) in self.edges(i).enumerate() {
+                let t = self.edge_target[e];
+                let sink_w = if t == PO_SENTINEL {
+                    PO_LOAD_WIDTHS
+                } else {
+                    design.width[t as usize]
+                };
+                let c_sink = sink_w * tech.c_in;
+                block.push_term(row, c_sink + self.edge_c_int[e]);
+                t_wire = t_wire.max(
+                    self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
+                );
+            }
+            block.gate[k] = i;
+            block.target[k] = target;
+            block.t_slope[k] = terms.slope_coeff * max_fanin;
+            block.t_wire[k] = t_wire;
+            block.od_pow[k] = terms.od_pow;
+            block.leak_per_w[k] = terms.leak_per_w;
+            block.cmi_pre[k] = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi;
+            block.stack[k] = self.stack[i];
+            block.fanin_count[k] = self.fanin_count[i];
+            block.len += 1;
+            if block.len == BLOCK {
+                let rel = block.bisect(tech, vdd, steps, design, &mut scratch.memo);
+                max_rel_change = max_rel_change.max(rel);
             }
         }
+        if scratch.block.len > 0 {
+            let rel = scratch
+                .block
+                .bisect(tech, vdd, steps, design, &mut scratch.memo);
+            max_rel_change = max_rel_change.max(rel);
+        }
+        scratch.key = Some(key);
         max_rel_change
     }
 }
@@ -422,67 +490,194 @@ impl<'a> VtMemo<'a> {
     }
 }
 
-/// Reusable lane buffers for [`SoaKernel::size_sweep`]: one lane per
-/// logic gate of the level being sized, parallel arrays throughout.
+/// What a [`SizeScratch`]'s warm-lane memo is valid for: one kernel at
+/// one `(vdd, steps, margin)`. Floats are compared by bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    vdd: u64,
+    steps: usize,
+    margin: u64,
+    kernel: u64,
+}
+
+/// The bits of the per-gate inputs a lane's bisection reads, sink widths
+/// aside.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LaneInputs {
+    /// The folded slope input `max(min(budget_j, 1.05·last_delay_j))`.
+    slope_in: u64,
+    /// `budgets[i] * margin`.
+    target: u64,
+    vt: u64,
+}
+
+/// One gate's warm-lane record: what its last bisection read, and the
+/// width it produced.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneMemo {
+    inputs: LaneInputs,
+    width: f64,
+}
+
+/// Up to [`BLOCK`] lanes awaiting bisection, with every
+/// width-independent term of their probes hoisted, one array slot per
+/// lane.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    /// Lanes filled; slots `len..` are stale.
+    len: usize,
+    gate: [usize; BLOCK],
+    /// `budgets[i] * margin`.
+    target: [f64; BLOCK],
+    t_slope: [f64; BLOCK],
+    t_wire: [f64; BLOCK],
+    /// `overdrive(vdd, vt)^α` — the hoisted `powf` of `drive_current`.
+    od_pow: [f64; BLOCK],
+    /// `off_current(w, vt) / w` — the hoisted width-independent leakage.
+    leak_per_w: [f64; BLOCK],
+    /// `max(fanin_count − 1, 0) · c_mi` — the internal-node prefactor.
+    cmi_pre: [f64; BLOCK],
+    stack: [f64; BLOCK],
+    fanin_count: [f64; BLOCK],
+    /// Per-edge load terms `c_sink + c_int`, edge-major: lane `k`'s
+    /// `e`-th is `terms[e * BLOCK + k]`. Shorter lanes are padded with
+    /// `-0.0`, the exact additive identity (`x + -0.0` is `x` bitwise for
+    /// every non-NaN `x`, `+0.0` included), so the load folds need no
+    /// per-lane bound.
+    terms: Vec<f64>,
+}
+
+impl Block {
+    /// Sets the `row`-th load term of the lane being filled.
+    #[inline]
+    fn push_term(&mut self, row: usize, term: f64) {
+        let at = row * BLOCK + self.len;
+        if at >= self.terms.len() {
+            self.terms.resize((row + 1) * BLOCK, -0.0);
+        }
+        self.terms[at] = term;
+    }
+
+    /// Candidate-width delays of the block's lanes at widths `w`: per
+    /// lane, bitwise what `gate_delay` computes for the same state, with
+    /// no per-lane branch.
+    #[inline]
+    fn probe(
+        &self,
+        tech: &minpower_device::Technology,
+        vdd: f64,
+        w: &[f64; BLOCK],
+    ) -> [f64; BLOCK] {
+        let mut c_load: [f64; BLOCK] = std::array::from_fn(|k| w[k] * tech.c_pd);
+        for row in self.terms.chunks_exact(BLOCK) {
+            for k in 0..BLOCK {
+                c_load[k] += row[k];
+            }
+        }
+        std::array::from_fn(|k| {
+            let i_full = tech.k_drive * w[k] * self.od_pow[k];
+            let i_on = i_full / self.stack[k];
+            let i_leak = self.fanin_count[k] * (w[k] * self.leak_per_w[k]);
+            let i_drive = i_on - i_leak;
+            let t_switch = vdd / 2.0 * c_load[k] / i_drive;
+            let t_internal = self.cmi_pre[k] * w[k] * vdd / i_full;
+            let delay = self.t_slope[k] + t_switch + t_internal + self.t_wire[k];
+            if i_drive <= 0.0 {
+                f64::INFINITY
+            } else {
+                delay
+            }
+        })
+    }
+
+    /// Bisects the filled lanes in lockstep — `steps` iterations, then
+    /// the minimum-width endpoint the bisection never lands on — and
+    /// commits each lane's width to `design` and `memo`. Empties the
+    /// block and returns the largest relative width change.
+    fn bisect(
+        &mut self,
+        tech: &minpower_device::Technology,
+        vdd: f64,
+        steps: usize,
+        design: &mut Design,
+        memo: &mut [LaneMemo],
+    ) -> f64 {
+        let (w_lo, w_hi) = tech.w_range;
+        // Padding lanes probe stale terms against a target no delay
+        // meets; their results are never committed.
+        self.target[self.len..].fill(f64::NEG_INFINITY);
+        let mut lo = [w_lo; BLOCK];
+        let mut hi = [w_hi; BLOCK];
+        let mut feasible = [f64::NAN; BLOCK];
+        for _ in 0..steps {
+            let w: [f64; BLOCK] = std::array::from_fn(|k| 0.5 * (lo[k] + hi[k]));
+            let delay = self.probe(tech, vdd, &w);
+            for k in 0..BLOCK {
+                let ok = delay[k] <= self.target[k];
+                feasible[k] = if ok { w[k] } else { feasible[k] };
+                hi[k] = if ok { w[k] } else { hi[k] };
+                lo[k] = if ok { lo[k] } else { w[k] };
+            }
+        }
+        let delay = self.probe(tech, vdd, &[w_lo; BLOCK]);
+        let mut max_rel_change = 0.0f64;
+        for k in 0..self.len {
+            if delay[k] <= self.target[k] {
+                feasible[k] = w_lo;
+            }
+            let i = self.gate[k];
+            let before = design.width[i];
+            let w_new = if feasible[k].is_nan() {
+                w_hi
+            } else {
+                feasible[k]
+            };
+            design.width[i] = w_new;
+            memo[i].width = w_new;
+            let rel = (w_new - before).abs() / before.max(w_lo);
+            max_rel_change = max_rel_change.max(rel);
+        }
+        self.len = 0;
+        self.terms.clear();
+        max_rel_change
+    }
+}
+
+/// Reusable buffers for [`SoaKernel::size_sweep`]: the lane block being
+/// filled and the warm-lane memo, 40 bytes per gate.
+///
+/// Reuse one scratch across the fixed-point sweeps of one sizing run:
+/// that is what lets unchanged lanes skip their bisection. Any scratch
+/// gives bitwise the same widths; a fresh one just bisects every lane.
 #[derive(Debug, Clone, Default)]
 pub struct SizeScratch {
-    gate: Vec<u32>,
-    target: Vec<f64>,
-    t_slope: Vec<f64>,
-    t_wire: Vec<f64>,
-    /// `overdrive(vdd, vt)^α` — the hoisted `powf` of `drive_current`.
-    od_pow: Vec<f64>,
-    /// `off_current(w, vt) / w` — the hoisted width-independent leakage.
-    leak_per_w: Vec<f64>,
-    /// `max(fanin_count − 1, 0) · c_mi` — the internal-node prefactor.
-    cmi_pre: Vec<f64>,
-    stack: Vec<f64>,
-    fanin_count: Vec<f64>,
-    /// Per-edge load terms `c_sink + c_int`, flat across the level.
-    terms: Vec<f64>,
-    /// Lane `l`'s terms are `terms[term_offsets[l]..term_offsets[l + 1]]`.
-    term_offsets: Vec<u32>,
+    block: Block,
+    /// Key of the last completed sweep; `None` makes the next one cold.
+    key: Option<MemoKey>,
+    /// Per gate: the record of its last bisection under `key`.
+    memo: Vec<LaneMemo>,
+    /// Per gate: its width when the last sweep reached it, which is the
+    /// width every reader of it saw in that sweep.
+    seen_width: Vec<f64>,
+    lanes_bisected: u64,
+    lanes_reused: u64,
 }
 
 impl SizeScratch {
-    /// A fresh, empty scratch. Buffers grow to the widest level on first
-    /// use and are reused afterwards.
+    /// A fresh, empty scratch. The memo grows to the gate count on first
+    /// use and is reused afterwards.
     pub fn new() -> Self {
         SizeScratch::default()
     }
 
-    fn clear(&mut self) {
-        self.gate.clear();
-        self.target.clear();
-        self.t_slope.clear();
-        self.t_wire.clear();
-        self.od_pow.clear();
-        self.leak_per_w.clear();
-        self.cmi_pre.clear();
-        self.stack.clear();
-        self.fanin_count.clear();
-        self.terms.clear();
-        self.term_offsets.clear();
-        self.term_offsets.push(0);
+    /// Lanes bisected by the sweeps that used this scratch, cumulative.
+    pub fn lanes_bisected(&self) -> u64 {
+        self.lanes_bisected
     }
 
-    /// Candidate-width delay of lane `l` at width `w` from the hoisted
-    /// terms: bitwise what `gate_delay` computes for the same state.
-    #[inline]
-    fn probe_delay(&self, tech: &minpower_device::Technology, vdd: f64, l: usize, w: f64) -> f64 {
-        let i_on = tech.k_drive * w * self.od_pow[l] / self.stack[l];
-        let i_leak = self.fanin_count[l] * (w * self.leak_per_w[l]);
-        let i_drive = i_on - i_leak;
-        if i_drive <= 0.0 {
-            return f64::INFINITY;
-        }
-        let mut c_load = w * tech.c_pd;
-        for e in self.term_offsets[l] as usize..self.term_offsets[l + 1] as usize {
-            c_load += self.terms[e];
-        }
-        let t_switch = vdd / 2.0 * c_load / i_drive;
-        let t_internal = self.cmi_pre[l] * w * vdd / (tech.k_drive * w * self.od_pow[l]);
-        self.t_slope[l] + t_switch + t_internal + self.t_wire[l]
+    /// Lanes that took their remembered width instead, cumulative.
+    pub fn lanes_reused(&self) -> u64 {
+        self.lanes_reused
     }
 }
 
@@ -803,5 +998,191 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Three ways through the same sweeps: one scratch reused throughout
+    /// (warm lanes), a fresh scratch per sweep (every lane bisected), and
+    /// the scalar loop. Widths and `rel` must agree bit for bit.
+    struct ThreeWays {
+        warm: Design,
+        fresh: Design,
+        scalar: Design,
+        scratch: SizeScratch,
+    }
+
+    impl ThreeWays {
+        fn new(design: Design) -> Self {
+            ThreeWays {
+                warm: design.clone(),
+                fresh: design.clone(),
+                scalar: design,
+                scratch: SizeScratch::new(),
+            }
+        }
+
+        /// Applies `edit` to all three designs.
+        fn edit(&mut self, edit: impl Fn(&mut Design)) {
+            edit(&mut self.warm);
+            edit(&mut self.fresh);
+            edit(&mut self.scalar);
+        }
+
+        /// One sweep three ways; returns `rel` and the lanes the reused
+        /// scratch took from its memo.
+        #[allow(clippy::too_many_arguments)]
+        fn sweep(
+            &mut self,
+            k: &SoaKernel,
+            m: &CircuitModel,
+            budgets: &[f64],
+            last_delays: &[f64],
+            steps: usize,
+            margin: f64,
+            what: &str,
+        ) -> (f64, u64) {
+            let reused = self.scratch.lanes_reused();
+            let rw = k.size_sweep(
+                &mut self.warm,
+                budgets,
+                last_delays,
+                steps,
+                margin,
+                &mut self.scratch,
+            );
+            let rf = k.size_sweep(
+                &mut self.fresh,
+                budgets,
+                last_delays,
+                steps,
+                margin,
+                &mut SizeScratch::new(),
+            );
+            let rs = scalar_sweep(m, &mut self.scalar, budgets, last_delays, steps, margin);
+            assert_eq!(rw.to_bits(), rs.to_bits(), "{what}: warm rel");
+            assert_eq!(rf.to_bits(), rs.to_bits(), "{what}: fresh rel");
+            for i in 0..self.scalar.width.len() {
+                let s = self.scalar.width[i].to_bits();
+                assert_eq!(self.warm.width[i].to_bits(), s, "{what}: warm width {i}");
+                assert_eq!(self.fresh.width[i].to_bits(), s, "{what}: fresh width {i}");
+            }
+            (rs, self.scratch.lanes_reused() - reused)
+        }
+
+        /// Sweeps with `last_delays` held until the widths stop moving,
+        /// then asserts that the final sweep reused every lane — so the
+        /// next edit meets a fully warm memo.
+        #[allow(clippy::too_many_arguments)]
+        fn settle(
+            &mut self,
+            k: &SoaKernel,
+            m: &CircuitModel,
+            budgets: &[f64],
+            last_delays: &[f64],
+            steps: usize,
+            margin: f64,
+            what: &str,
+        ) {
+            let logic = (0..k.gate_count()).filter(|&i| !k.is_input[i]).count() as u64;
+            for _ in 0..k.csr().level_count() + 2 {
+                let (rel, reused) = self.sweep(k, m, budgets, last_delays, steps, margin, what);
+                if rel == 0.0 && reused == logic {
+                    return;
+                }
+            }
+            panic!("{what}: widths never settled into a fully warm sweep");
+        }
+    }
+
+    #[test]
+    fn warm_lanes_match_fresh_and_scalar_bitwise() {
+        let n = layered(7, 9);
+        let m = model(&n);
+        let k = SoaKernel::new(&m);
+        // A second kernel over the same gates: weaker drive, other widths.
+        let tech2 = Technology::builder()
+            .k_drive(Technology::dac97().k_drive * 0.6)
+            .build();
+        let m2 = CircuitModel::with_uniform_activity(&n, tech2, 0.5, 0.4);
+        let k2 = SoaKernel::new(&m2);
+        let gates = n.gate_count();
+        let budgets: Vec<f64> = (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect();
+        let mut d = Design::uniform(&n, 1.5, 0.3, 2.0);
+        for i in 0..gates {
+            d.width[i] = 1.0 + (i % 7) as f64 * 1.7;
+        }
+        let mut t = ThreeWays::new(d);
+
+        // Coupled sweeps: delays recomputed between sweeps, as `size_at`.
+        let mut last_delays = budgets.clone();
+        for sweep in 0..6 {
+            t.sweep(
+                &k,
+                &m,
+                &budgets,
+                &last_delays,
+                12,
+                0.97,
+                &format!("coupled {sweep}"),
+            );
+            m.delays_into(&t.scalar, &mut last_delays);
+        }
+        t.settle(&k, &m, &budgets, &last_delays, 12, 0.97, "settle");
+
+        // Each edit below meets a fully warm memo whose recorded inputs
+        // are otherwise all still valid.
+        t.edit(|d| d.vdd = 1.1);
+        t.sweep(&k, &m, &budgets, &last_delays, 12, 0.97, "vdd change");
+        t.settle(&k, &m, &budgets, &last_delays, 12, 0.97, "settle vdd");
+
+        t.sweep(&k2, &m2, &budgets, &last_delays, 12, 0.97, "second kernel");
+        t.settle(&k2, &m2, &budgets, &last_delays, 12, 0.97, "settle kernel");
+        t.sweep(
+            &k,
+            &m,
+            &budgets,
+            &last_delays,
+            12,
+            0.97,
+            "first kernel again",
+        );
+        t.settle(
+            &k,
+            &m,
+            &budgets,
+            &last_delays,
+            12,
+            0.97,
+            "settle kernel again",
+        );
+
+        let mut budgets2 = budgets.clone();
+        for b in budgets2.iter_mut().step_by(3) {
+            *b *= 1.3;
+        }
+        t.sweep(&k, &m, &budgets2, &last_delays, 12, 0.97, "budget change");
+        t.settle(&k, &m, &budgets2, &last_delays, 12, 0.97, "settle budgets");
+
+        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.97, "steps change");
+        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.97, "settle steps");
+        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "margin change");
+        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.9, "settle margin");
+
+        t.edit(|d| {
+            for vt in d.vt.iter_mut().step_by(4) {
+                *vt = 0.36;
+            }
+        });
+        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "vt edit");
+        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.9, "settle vt");
+
+        // A caller resizes a few sinks between sweeps: their drivers'
+        // loads change though no input the memo keys per gate does.
+        t.edit(|d| {
+            for i in (gates / 2..gates).step_by(5) {
+                d.width[i] = 37.5;
+            }
+        });
+        let (_, reused) = t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "width edit");
+        assert!(reused > 0, "the edit left no lane warm");
     }
 }

@@ -8,9 +8,10 @@
 //!   affected cone only (the changed gate, its drivers whose loads moved,
 //!   and whatever the input-slope term reaches downstream), journaling
 //!   every overwrite;
-//! * an [`IncrementalSta`] re-propagating arrival times with a levelized
-//!   dirty-worklist, falling back to a journaled dense pass when the
-//!   dirty set grows past its fallback fraction;
+//! * an [`IncrementalSta`] re-propagating arrival times over the model's
+//!   shared [`CircuitModel::csr`] with a levelized dirty worklist, seeded
+//!   from the delay journal and falling back to a journaled dense pass
+//!   when the dirty set grows past its fallback fraction;
 //! * an [`EnergyLedger`] of per-gate energy terms at the caller's energy
 //!   corner: the leaky thresholds for the budgeted sizer, the design's own
 //!   thresholds for TILOS and sessions.
@@ -93,7 +94,7 @@ impl IncrementalEval {
         cycle_time: f64,
         stats: Option<Arc<EngineStats>>,
     ) -> Self {
-        let sta = IncrementalSta::forward_only(model.netlist(), &delays, cycle_time);
+        let sta = IncrementalSta::forward_only(Arc::clone(model.csr()), &delays, cycle_time);
         let ledger = at_energy_corner(&mut design, &mut energy_vt, |d| model.energy_ledger(d, fc));
         let eval = IncrementalEval {
             design,
@@ -182,21 +183,36 @@ impl IncrementalEval {
     }
 
     /// Applies `edit` to the design and rebuilds delays, arrivals and
-    /// ledger densely — for edits the cone repair does not cover (the
-    /// supply, wholesale design vectors after a structural edit).
+    /// ledger densely on the current topology — for edits the cone repair
+    /// does not cover (the supply, wholesale design vectors).
     pub fn rebuild(&mut self, model: &CircuitModel, edit: impl FnOnce(&mut Design)) {
         assert!(self.open.is_none(), "a width probe is open");
         edit(&mut self.design);
         model.delays_into(&self.design, &mut self.delays);
-        self.set_fc(model, self.fc, self.sta.cycle_time());
+        self.sta.reanalyze(&self.delays);
+        self.reprice(model);
     }
 
-    /// Moves the clock target: the delays are untouched; the arrival
-    /// state is rebuilt for the new cycle time and the ledger for the
-    /// new static-energy terms (∝ 1/fc).
+    /// [`rebuild`](Self::rebuild) after a structural edit: `model` binds
+    /// a new netlist, so the arrival state moves onto its topology.
+    pub fn restructure(&mut self, model: &CircuitModel, edit: impl FnOnce(&mut Design)) {
+        assert!(self.open.is_none(), "a width probe is open");
+        edit(&mut self.design);
+        model.delays_into(&self.design, &mut self.delays);
+        self.sta = IncrementalSta::forward_only(
+            Arc::clone(model.csr()),
+            &self.delays,
+            self.sta.cycle_time(),
+        );
+        self.reprice(model);
+    }
+
+    /// Moves the clock target: delays and arrivals are untouched; the
+    /// cycle time is set in place and the ledger rebuilt for the new
+    /// static-energy terms (∝ 1/fc).
     pub fn set_fc(&mut self, model: &CircuitModel, fc: f64, cycle_time: f64) {
         self.fc = fc;
-        self.sta = IncrementalSta::forward_only(model.netlist(), &self.delays, cycle_time);
+        self.sta.set_cycle_time(cycle_time);
         self.reprice(model);
     }
 
@@ -212,7 +228,8 @@ impl IncrementalEval {
     }
 
     /// Repairs the delays over `gate`'s cone (journaling each
-    /// overwrite), commits the arrivals and refreshes the ledger.
+    /// overwrite), commits the arrivals of the journaled gates and
+    /// refreshes the ledger.
     fn repair(&mut self, model: &CircuitModel, gate: GateId) -> usize {
         self.journal.clear();
         let journal = &mut self.journal;
@@ -222,11 +239,8 @@ impl IncrementalEval {
             gate,
             |idx, old| journal.push((idx as u32, old)),
         );
-        for &(idx, _) in self.journal.iter() {
-            self.sta
-                .set_delay(GateId::new(idx as usize), self.delays[idx as usize]);
-        }
-        let commit = self.sta.commit();
+        let moved = self.journal.iter().map(|&(idx, _)| idx);
+        let commit = self.sta.commit(&self.delays, moved);
         if let Some(stats) = &self.stats {
             stats.count_incremental(u64::from(commit.gates_touched));
             if commit.fallback {
@@ -246,10 +260,10 @@ impl IncrementalEval {
         });
     }
 
-    /// The dense oracle: the warm delays must be bitwise what
-    /// [`CircuitModel::delays_into`] computes for the design, the
-    /// arrivals and critical delay what a dense forward pass over those
-    /// delays computes, and the ledger's exact total what
+    /// The dense oracle: the warm delays, arrivals and critical delay must
+    /// be bitwise what [`CircuitModel::timing_into`] computes for the
+    /// design (a dense walk over the model's own topological order, not
+    /// the shared CSR), and the ledger's exact total what
     /// [`CircuitModel::total_energy`] computes at the energy corner.
     /// Counts nothing.
     ///
@@ -257,8 +271,8 @@ impl IncrementalEval {
     ///
     /// Panics at the first bit that differs.
     pub fn cross_check(&self, model: &CircuitModel) {
-        let mut dense = Vec::new();
-        model.delays_into(&self.design, &mut dense);
+        let (mut dense, mut arrival) = (Vec::new(), Vec::new());
+        let critical = model.timing_into(&self.design, &mut dense, &mut arrival);
         assert_eq!(dense.len(), self.delays.len(), "delay vector length drift");
         for (i, (d, w)) in dense.iter().zip(&self.delays).enumerate() {
             assert_eq!(
@@ -267,18 +281,11 @@ impl IncrementalEval {
                 "delay drift at gate {i}: dense {d:e} vs warm {w:e}"
             );
         }
-        let dense_sta =
-            IncrementalSta::forward_only(model.netlist(), &dense, self.sta.cycle_time());
-        for (i, (a, b)) in dense_sta
-            .arrivals()
-            .iter()
-            .zip(self.sta.arrivals())
-            .enumerate()
-        {
+        for (i, (a, b)) in arrival.iter().zip(self.sta.arrivals()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "arrival drift at gate {i}");
         }
         assert_eq!(
-            dense_sta.critical_delay().to_bits(),
+            critical.to_bits(),
             self.sta.critical_delay().to_bits(),
             "critical-delay drift"
         );

@@ -911,7 +911,7 @@ impl SessionState {
             ACTIVITY_PROBABILITY,
             self.activity,
         );
-        self.eval.rebuild(&self.model, |d| {
+        self.eval.restructure(&self.model, |d| {
             d.vt = vt;
             d.width = width;
         });

@@ -17,7 +17,7 @@ pub fn assert_matches_dense(problem: &Problem, r: &OptimizationResult) {
     if r.feasible {
         let (mut delays, mut arrival) = (Vec::new(), Vec::new());
         model.timing_into(&r.design, &mut delays, &mut arrival);
-        let critical = sink_critical(&virtual_sinks(model.netlist()), &arrival).0;
+        let critical = sink_critical(&virtual_sinks(model.csr()), &arrival).0;
         assert_eq!(r.critical_delay.to_bits(), critical.to_bits());
     }
 }

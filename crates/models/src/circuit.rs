@@ -1,11 +1,11 @@
 //! Whole-circuit evaluation: per-gate delay and energy, critical path,
 //! totals.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use minpower_activity::{Activities, InputActivity};
 use minpower_device::Technology;
-use minpower_netlist::{GateId, GateKind, Netlist};
+use minpower_netlist::{GateId, GateKind, LevelizedCsr, Netlist};
 use minpower_wiring::WireModel;
 
 use crate::design::Design;
@@ -85,6 +85,8 @@ pub struct CircuitModel {
     /// [`CircuitModel::fingerprint`], computed on first use: the model
     /// is immutable after construction.
     fingerprint: OnceLock<u64>,
+    /// [`CircuitModel::csr`], built on first use.
+    csr: OnceLock<Arc<LevelizedCsr>>,
 }
 
 impl CircuitModel {
@@ -153,6 +155,7 @@ impl CircuitModel {
             info,
             topo,
             fingerprint: OnceLock::new(),
+            csr: OnceLock::new(),
         }
     }
 
@@ -174,6 +177,14 @@ impl CircuitModel {
     /// The bound netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
+    }
+
+    /// The netlist's levelized CSR view, built on first use and then
+    /// shared: the SoA kernel and the warm incremental STA read this one
+    /// copy of the topology.
+    pub fn csr(&self) -> &Arc<LevelizedCsr> {
+        self.csr
+            .get_or_init(|| Arc::new(LevelizedCsr::new(&self.netlist)))
     }
 
     /// The bound technology.

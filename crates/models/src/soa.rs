@@ -35,6 +35,7 @@
 //! gate-for-gate in debug builds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use minpower_netlist::LevelizedCsr;
 
@@ -59,7 +60,7 @@ pub struct SoaKernel {
     /// Process-unique identity, part of [`SizeScratch`]'s warm-lane key.
     /// A kernel never changes after [`SoaKernel::new`], so clones share it.
     id: u64,
-    csr: LevelizedCsr,
+    csr: Arc<LevelizedCsr>,
     tech: minpower_device::Technology,
     is_input: Vec<bool>,
     fanin_count: Vec<f64>,
@@ -81,7 +82,7 @@ impl SoaKernel {
         let n = model.info.len();
         let mut kernel = SoaKernel {
             id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
-            csr: LevelizedCsr::new(&model.netlist),
+            csr: Arc::clone(model.csr()),
             tech: model.tech.clone(),
             is_input: Vec::with_capacity(n),
             fanin_count: Vec::with_capacity(n),
@@ -110,7 +111,8 @@ impl SoaKernel {
         kernel
     }
 
-    /// The levelized index view the kernel sweeps over.
+    /// The levelized index view the kernel sweeps over: the model's
+    /// shared [`CircuitModel::csr`].
     pub fn csr(&self) -> &LevelizedCsr {
         &self.csr
     }

@@ -4,12 +4,12 @@
 //! [`Netlist`] stores per-gate `Vec`s (fanin, fanout) behind a `Vec` of
 //! [`Gate`](crate::Gate)s — convenient for construction and queries, but a
 //! pointer chase per gate in the evaluation hot loops. [`LevelizedCsr`]
-//! flattens the same structure once into four index arrays:
+//! flattens the same structure once into index arrays:
 //!
 //! * `order` — every gate index, grouped by logic level (ascending), and
 //!   in ascending gate index within a level;
 //! * `level_offsets` — `order[level_offsets[l]..level_offsets[l + 1]]` is
-//!   level `l`;
+//!   level `l`, and `level` maps each gate back to its level;
 //! * fanin and fanout adjacency in CSR form (offsets + one flat index
 //!   array each), preserving the netlist's per-gate edge order exactly —
 //!   the order-preservation is what lets sweeps over this view reproduce
@@ -19,11 +19,11 @@
 //! gate's fanins sit at strictly lower levels), so it is a valid
 //! topological traversal; a reverse sweep is a valid reverse-topological
 //! traversal. Unlike [`Netlist::topological_order`], the grouping exposes
-//! per-level slices whose gates are mutually independent — the unit of
-//! batching for the SoA evaluation kernels in `minpower-timing` and
-//! `minpower-models`.
+//! per-level slices whose gates are mutually independent. The SoA kernel
+//! in `minpower-models` sweeps them; the incremental STA in
+//! `minpower-timing` buckets its dirty worklist by the same levels.
 
-use crate::gate::{GateId, GateKind};
+use crate::gate::GateId;
 use crate::graph::Netlist;
 
 /// Flat levelized index arrays over a [`Netlist`]. See the [module
@@ -32,12 +32,12 @@ use crate::graph::Netlist;
 pub struct LevelizedCsr {
     order: Vec<u32>,
     level_offsets: Vec<u32>,
+    level: Vec<u32>,
     fanin_offsets: Vec<u32>,
     fanin: Vec<u32>,
     fanout_offsets: Vec<u32>,
     fanout: Vec<u32>,
     outputs: Vec<u32>,
-    inputs: u32,
 }
 
 impl LevelizedCsr {
@@ -48,9 +48,12 @@ impl LevelizedCsr {
 
         // Counting sort by level keeps gates in ascending index order
         // within each level.
+        let level: Vec<u32> = (0..n)
+            .map(|i| netlist.level(GateId::new(i)) as u32)
+            .collect();
         let mut level_counts = vec![0u32; depth + 1];
-        for i in 0..n {
-            level_counts[netlist.level(GateId::new(i))] += 1;
+        for &l in &level {
+            level_counts[l as usize] += 1;
         }
         let mut level_offsets = Vec::with_capacity(depth + 2);
         let mut running = 0u32;
@@ -61,10 +64,9 @@ impl LevelizedCsr {
         }
         let mut cursor: Vec<u32> = level_offsets[..=depth].to_vec();
         let mut order = vec![0u32; n];
-        for i in 0..n {
-            let l = netlist.level(GateId::new(i));
-            order[cursor[l] as usize] = i as u32;
-            cursor[l] += 1;
+        for (i, &l) in level.iter().enumerate() {
+            order[cursor[l as usize] as usize] = i as u32;
+            cursor[l as usize] += 1;
         }
 
         let mut fanin_offsets = Vec::with_capacity(n + 1);
@@ -84,16 +86,12 @@ impl LevelizedCsr {
         LevelizedCsr {
             order,
             level_offsets,
+            level,
             fanin_offsets,
             fanin,
             fanout_offsets,
             fanout,
             outputs: netlist.outputs().iter().map(|o| o.index() as u32).collect(),
-            inputs: netlist
-                .gates()
-                .iter()
-                .filter(|g| g.kind() == GateKind::Input)
-                .count() as u32,
         }
     }
 
@@ -108,11 +106,6 @@ impl LevelizedCsr {
         self.level_offsets.len() - 1
     }
 
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> usize {
-        self.inputs as usize
-    }
-
     /// Every gate index, grouped by ascending level.
     pub fn order(&self) -> &[u32] {
         &self.order
@@ -123,6 +116,12 @@ impl LevelizedCsr {
         let lo = self.level_offsets[l] as usize;
         let hi = self.level_offsets[l + 1] as usize;
         &self.order[lo..hi]
+    }
+
+    /// The level of gate `i` (0 for primary inputs).
+    #[inline]
+    pub fn level_of(&self, i: usize) -> usize {
+        self.level[i] as usize
     }
 
     /// Iterator over per-level gate slices, level 0 first.
@@ -151,15 +150,6 @@ impl LevelizedCsr {
     pub fn outputs(&self) -> &[u32] {
         &self.outputs
     }
-
-    /// The widest level's gate count — the scratch-buffer bound for
-    /// level-batched kernels.
-    pub fn max_level_width(&self) -> usize {
-        (0..self.level_count())
-            .map(|l| self.level(l).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +174,6 @@ mod tests {
         let csr = LevelizedCsr::new(&n);
         assert_eq!(csr.gate_count(), 4);
         assert_eq!(csr.level_count(), 3);
-        assert_eq!(csr.input_count(), 1);
         // Position of each gate in `order`.
         let mut pos = vec![0usize; csr.gate_count()];
         for (p, &i) in csr.order().iter().enumerate() {
@@ -199,6 +188,7 @@ mod tests {
         for (l, slice) in csr.levels().enumerate() {
             for &i in slice {
                 assert_eq!(n.level(GateId::new(i as usize)), l);
+                assert_eq!(csr.level_of(i as usize), l);
             }
         }
     }
@@ -228,7 +218,7 @@ mod tests {
         let csr = LevelizedCsr::new(&n);
         let total: usize = csr.levels().map(<[u32]>::len).sum();
         assert_eq!(total, csr.gate_count());
-        assert_eq!(csr.max_level_width(), 2); // u and v share level 1
+        assert_eq!(csr.level(1), &[1, 2]); // u and v share level 1
         let mut seen: Vec<u32> = csr.order().to_vec();
         seen.sort_unstable();
         assert_eq!(seen, (0..csr.gate_count() as u32).collect::<Vec<_>>());

@@ -1,34 +1,38 @@
-//! Incremental static timing analysis over dirty fanout cones.
+//! Incremental arrival-time analysis over dirty fanout cones.
 //!
-//! [`Sta`](crate::Sta) recomputes every arrival and required time from
-//! scratch. The width-sizing inner loops change one gate at a time, which
-//! perturbs only the changed gate's delay, its fanins' delays (their output
-//! loads changed) and the downstream arrival cone — usually a tiny slice of
-//! the netlist. [`IncrementalSta`] owns persistent buffers, accepts batched
-//! [`set_delay`](IncrementalSta::set_delay) edits, and on
-//! [`commit`](IncrementalSta::commit) repairs exactly the affected cone with
-//! a levelized dirty-worklist.
+//! The paper's sizing procedures ask one timing question per probe: does
+//! the latest output arrival still meet the cycle time? [`Sta`](crate::Sta)
+//! answers it from scratch. The width-sizing inner loops change one gate
+//! at a time, which perturbs only the changed gate's delay, its fanins'
+//! delays (their output loads changed) and the downstream arrival cone —
+//! usually a tiny slice of the netlist. [`IncrementalSta`] keeps the
+//! arrival vector warm over a shared [`LevelizedCsr`]. The caller owns the
+//! delay vector; after editing it, the caller names the gates whose delay
+//! moved, and [`commit`](IncrementalSta::commit) repairs exactly the
+//! affected arrival cone with a worklist bucketed by logic level.
 //!
 //! Two properties make the repair *bit-identical* to a full
 //! [`Sta::analyze`](crate::Sta::analyze) pass rather than merely close:
 //!
-//! * every per-gate value is a pure function of its neighbours' values
-//!   (`arrival[i] = max(fanin arrivals) + delay[i]`; `required` dually), and
-//!   `f64` max/min folds are order-independent, so re-evaluating a complete
-//!   dirty cone converges to exactly the full-pass fixed point;
+//! * every arrival is a pure function of its neighbours' values
+//!   (`arrival[i] = max(fanin arrivals) + delay[i]`, folded in the
+//!   netlist's fanin order), so re-evaluating a complete dirty cone
+//!   converges to exactly the full-pass fixed point;
 //! * propagation stops on **bitwise** equality (`f64::to_bits`), never on an
 //!   epsilon, so the dirty frontier cannot silently absorb a real change.
 //!
-//! Every commit journals the values it overwrites, so a rejected probe can
-//! [`undo`](IncrementalSta::undo) in O(cone) without recomputation. When the
-//! dirty set exceeds [`fallback_fraction`](IncrementalSta::fallback_fraction)
-//! of the netlist, the commit falls back to a (journaled) full pass — the
+//! Every commit journals the arrivals it overwrites, so a rejected probe
+//! can [`undo`](IncrementalSta::undo) in O(cone) without recomputation.
+//! When the dirty set exceeds [`DEFAULT_FALLBACK_FRACTION`] of the
+//! netlist, the commit falls back to a (journaled) dense pass — the
 //! worklist's bookkeeping would otherwise cost more than the dense loop.
 
-use minpower_netlist::{GateId, Netlist};
+use std::sync::Arc;
 
-/// Default fraction of the gate count beyond which a commit abandons the
-/// dirty worklist and re-runs dense full passes (still journaled, still
+use minpower_netlist::{GateId, LevelizedCsr};
+
+/// Fraction of the gate count beyond which a commit abandons the dirty
+/// worklist and re-runs one dense pass (still journaled, still
 /// bit-identical).
 pub const DEFAULT_FALLBACK_FRACTION: f64 = 0.25;
 
@@ -37,60 +41,26 @@ pub const DEFAULT_FALLBACK_FRACTION: f64 = 0.25;
 pub struct Commit {
     /// Latest primary-output arrival after the commit, seconds.
     pub critical_delay: f64,
-    /// Worst slack over the changed gates' cones is not tracked; this is
-    /// the number of gate recomputations (forward + backward) the commit
-    /// performed — the dirty-cone size.
+    /// Arrival recomputations the commit performed — the dirty-cone
+    /// size, or the gate count after a fallback.
     pub gates_touched: u32,
-    /// Whether the commit abandoned the worklist for dense full passes.
+    /// Whether the commit abandoned the worklist for a dense pass.
     pub fallback: bool,
-}
-
-/// Lifetime counters for one [`IncrementalSta`] instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// Number of [`IncrementalSta::commit`] calls.
-    pub commits: u64,
-    /// Total gate recomputations across all commits.
-    pub gates_touched: u64,
-    /// Commits that fell back to dense full passes.
-    pub fallbacks: u64,
-}
-
-/// Compressed adjacency: one row of `u32` gate indices per gate.
-#[derive(Debug, Clone)]
-struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    fn build(n: usize, row_of: impl Fn(usize) -> Vec<u32>) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut items = Vec::new();
-        offsets.push(0);
-        for i in 0..n {
-            items.extend(row_of(i));
-            offsets.push(u32::try_from(items.len()).expect("netlist fits in u32 indices"));
-        }
-        Csr { offsets, items }
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
 }
 
 /// Gates whose arrivals the sizers treat as timing endpoints: declared
 /// primary outputs plus gates with no fanout (dangling cones still have to
-/// settle within the cycle). Returned in topological-scan order (ascending
-/// gate index), which fixes the tie-breaking of [`sink_critical`].
-pub fn virtual_sinks(netlist: &Netlist) -> Vec<u32> {
-    (0..netlist.gate_count())
-        .filter(|&i| {
-            let id = GateId::new(i);
-            netlist.is_output(id) || netlist.fanout(id).is_empty()
-        })
-        .map(|i| i as u32)
+/// settle within the cycle). Returned in ascending gate index, which fixes
+/// the tie-breaking of [`sink_critical`].
+pub fn virtual_sinks(csr: &LevelizedCsr) -> Vec<u32> {
+    let mut sink: Vec<bool> = (0..csr.gate_count())
+        .map(|i| csr.fanout_of(i).is_empty())
+        .collect();
+    for &o in csr.outputs() {
+        sink[o as usize] = true;
+    }
+    (0..csr.gate_count() as u32)
+        .filter(|&i| sink[i as usize])
         .collect()
 }
 
@@ -111,175 +81,97 @@ pub fn sink_critical(sinks: &[u32], arrival: &[f64]) -> (f64, Option<GateId>) {
     (crit, crit_gate)
 }
 
-/// Incremental arrival/required analysis with transactional commits.
+/// Forward-only incremental arrival analysis with transactional commits.
 ///
-/// Construct with [`IncrementalSta::new`] (tracks required times and
-/// slacks) or [`IncrementalSta::forward_only`] (arrivals and critical delay
-/// only — half the cone work; the sizing loops use this). Batch delay edits
-/// with [`set_delay`](Self::set_delay), apply them with
-/// [`commit`](Self::commit), and roll the *most recent* commit back with
-/// [`undo`](Self::undo).
+/// Construct with [`forward_only`](Self::forward_only) over a shared
+/// [`LevelizedCsr`] and the current delays. After changing delays, call
+/// [`commit`](Self::commit) with the new delay vector and the gates whose
+/// delay moved; roll the *most recent* commit back with
+/// [`undo`](Self::undo) once the caller has restored its delays.
 ///
 /// In builds with debug assertions every commit cross-checks itself against
-/// a dense recomputation (the full-`Sta` reference semantics) and panics on
-/// any bitwise divergence.
+/// a dense recomputation and panics on any bitwise divergence.
 #[derive(Debug, Clone)]
 pub struct IncrementalSta {
+    csr: Arc<LevelizedCsr>,
     cycle_time: f64,
-    track_required: bool,
-    fallback_fraction: f64,
-
-    // Immutable topology (flattened once at construction).
-    level: Vec<u32>,
-    depth: usize,
-    fanin: Csr,
-    fanout: Csr,
-    topo: Vec<u32>,
-    outputs: Vec<u32>,
+    /// [`virtual_sinks`] of the topology.
     sinks: Vec<u32>,
-    /// `cycle_time` for primary outputs, `+inf` otherwise — the backward
-    /// pass's per-gate seed value.
-    base_required: Vec<f64>,
-
-    // Analysis state.
-    delays: Vec<f64>,
     arrival: Vec<f64>,
-    /// Unclamped required times (`+inf` for gates reaching no output, as in
-    /// `Sta::analyze` before its final clamp). Clamped on read.
-    required_raw: Vec<f64>,
-
-    // Batched edits and the levelized worklist.
-    pending: Vec<(u32, f64)>,
+    // The levelized worklist: one bucket per level.
     queued: Vec<bool>,
     buckets: Vec<Vec<u32>>,
-
-    // Journal of pre-commit values for `undo`, most recent commit only.
-    journal_delay: Vec<(u32, f64)>,
-    journal_arrival: Vec<(u32, f64)>,
-    journal_required: Vec<(u32, f64)>,
+    /// `(gate, previous arrival)` overwrites of the most recent commit.
+    journal: Vec<(u32, f64)>,
     has_commit: bool,
-
-    stats: IncrementalStats,
 }
 
 impl IncrementalSta {
-    /// Builds the analyzer and runs an initial full analysis, tracking both
-    /// arrival and required times.
+    /// Builds the analyzer over `csr` and runs an initial dense pass.
     ///
     /// # Panics
     ///
     /// Panics if `delays.len()` differs from the gate count.
-    pub fn new(netlist: &Netlist, delays: &[f64], cycle_time: f64) -> Self {
-        Self::build(netlist, delays, cycle_time, true)
-    }
-
-    /// Builds a forward-only analyzer: arrivals, critical delay and sink
-    /// scans work; [`required`](Self::required), [`slack`](Self::slack) and
-    /// [`worst_slack`](Self::worst_slack) panic. Commits cost roughly half
-    /// of the tracked variant's cone work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len()` differs from the gate count.
-    pub fn forward_only(netlist: &Netlist, delays: &[f64], cycle_time: f64) -> Self {
-        Self::build(netlist, delays, cycle_time, false)
-    }
-
-    fn build(netlist: &Netlist, delays: &[f64], cycle_time: f64, track_required: bool) -> Self {
-        let n = netlist.gate_count();
-        assert_eq!(delays.len(), n, "one delay per gate required");
-        let as_u32 = |ids: &[GateId]| ids.iter().map(|g| g.index() as u32).collect::<Vec<u32>>();
-        let fanin = Csr::build(n, |i| as_u32(netlist.gate(GateId::new(i)).fanin()));
-        let fanout = Csr::build(n, |i| as_u32(netlist.fanout(GateId::new(i))));
-        let level: Vec<u32> = (0..n)
-            .map(|i| netlist.level(GateId::new(i)) as u32)
-            .collect();
-        let depth = netlist.depth();
-        let outputs = as_u32(netlist.outputs());
-        let mut base_required = vec![f64::INFINITY; n];
-        for &o in &outputs {
-            base_required[o as usize] = cycle_time;
-        }
+    pub fn forward_only(csr: Arc<LevelizedCsr>, delays: &[f64], cycle_time: f64) -> Self {
+        let n = csr.gate_count();
         let mut sta = IncrementalSta {
+            sinks: virtual_sinks(&csr),
             cycle_time,
-            track_required,
-            fallback_fraction: DEFAULT_FALLBACK_FRACTION,
-            level,
-            depth,
-            fanin,
-            fanout,
-            topo: as_u32(netlist.topological_order()),
-            outputs,
-            sinks: virtual_sinks(netlist),
-            base_required,
-            delays: delays.to_vec(),
             arrival: vec![0.0; n],
-            required_raw: vec![f64::INFINITY; n],
-            pending: Vec::new(),
             queued: vec![false; n],
-            buckets: vec![Vec::new(); depth + 1],
-            journal_delay: Vec::new(),
-            journal_arrival: Vec::new(),
-            journal_required: Vec::new(),
+            buckets: vec![Vec::new(); csr.level_count()],
+            journal: Vec::new(),
             has_commit: false,
-            stats: IncrementalStats::default(),
+            csr,
         };
-        sta.full_forward();
-        if track_required {
-            sta.full_backward();
-        }
-        sta.journal_arrival.clear();
-        sta.journal_required.clear();
+        sta.reanalyze(delays);
         sta
     }
 
-    /// The fraction of the gate count beyond which a commit switches to
-    /// dense full passes.
-    pub fn fallback_fraction(&self) -> f64 {
-        self.fallback_fraction
+    /// Recomputes every arrival densely from `delays` — for wholesale
+    /// delay changes on the same topology. Leaves nothing to undo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays.len()` differs from the gate count.
+    pub fn reanalyze(&mut self, delays: &[f64]) {
+        assert_eq!(
+            delays.len(),
+            self.arrival.len(),
+            "one delay per gate required"
+        );
+        self.full_forward(delays);
+        self.journal.clear();
+        self.has_commit = false;
     }
 
-    /// Overrides the fallback threshold. `0.0` forces every commit through
-    /// the dense path (useful for testing its parity); `1.0` effectively
-    /// disables the fallback.
-    pub fn set_fallback_fraction(&mut self, fraction: f64) {
-        self.fallback_fraction = fraction.clamp(0.0, 1.0);
+    /// Moves the cycle-time constraint. Arrivals do not depend on it.
+    pub fn set_cycle_time(&mut self, cycle_time: f64) {
+        self.cycle_time = cycle_time;
     }
 
-    /// Stages a new delay for `gate`, to be applied by the next
-    /// [`commit`](Self::commit). Later stages of the same gate win.
-    pub fn set_delay(&mut self, gate: GateId, delay: f64) {
-        self.pending.push((gate.index() as u32, delay));
-    }
-
-    /// Applies all staged delay edits, repairs the affected arrival (and,
-    /// when tracked, required) cone, and returns the commit summary. The
-    /// previous values are journaled so [`undo`](Self::undo) can restore
-    /// the pre-commit state exactly.
-    pub fn commit(&mut self) -> Commit {
-        self.journal_delay.clear();
-        self.journal_arrival.clear();
-        self.journal_required.clear();
+    /// Repairs the arrival cone of the gates in `moved` against the
+    /// caller's updated `delays`, and returns the commit summary. `moved`
+    /// must name every gate whose delay changed since the arrivals were
+    /// last brought up to date; naming an unchanged gate costs one
+    /// recomputation and changes nothing. The overwritten arrivals are
+    /// journaled so [`undo`](Self::undo) can restore them exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays.len()` differs from the gate count.
+    pub fn commit(&mut self, delays: &[f64], moved: impl IntoIterator<Item = u32>) -> Commit {
+        assert_eq!(
+            delays.len(),
+            self.arrival.len(),
+            "one delay per gate required"
+        );
+        self.journal.clear();
         self.has_commit = true;
-
-        // Apply staged edits; seed the forward worklist with the edited
-        // gates and the backward worklist with their fanins (a fanin's
-        // required time depends on its sink's delay).
-        let pending = std::mem::take(&mut self.pending);
-        let mut backward_seeds: Vec<u32> = Vec::new();
-        for &(g, d) in &pending {
-            let gi = g as usize;
-            if self.delays[gi].to_bits() != d.to_bits() {
-                self.journal_delay.push((g, self.delays[gi]));
-                self.delays[gi] = d;
-                self.enqueue(g);
-                if self.track_required {
-                    backward_seeds.extend_from_slice(self.fanin.row(gi));
-                }
-            }
+        let csr = Arc::clone(&self.csr);
+        for g in moved {
+            self.enqueue(g);
         }
-        self.pending = pending;
-        self.pending.clear();
 
         let n = self.arrival.len();
         #[allow(
@@ -287,28 +179,26 @@ impl IncrementalSta {
             clippy::cast_sign_loss,
             clippy::cast_precision_loss
         )]
-        let threshold = (self.fallback_fraction * n as f64) as usize;
+        let threshold = (DEFAULT_FALLBACK_FRACTION * n as f64) as usize;
         let mut touched = 0usize;
         let mut fallback = false;
 
-        // Forward: repair arrivals level by level. Fanout edges strictly
-        // increase the level, so once a level's bucket drains it stays
-        // drained.
-        'forward: for lvl in 0..=self.depth {
+        // Repair arrivals level by level. Fanout edges strictly increase
+        // the level, so once a level's bucket drains it stays drained.
+        'levels: for lvl in 0..self.buckets.len() {
             while let Some(i) = self.buckets[lvl].pop() {
                 let gi = i as usize;
                 self.queued[gi] = false;
                 touched += 1;
                 if touched > threshold {
                     fallback = true;
-                    break 'forward;
+                    break 'levels;
                 }
-                let new = self.recompute_arrival(gi);
+                let new = self.recompute_arrival(delays, gi);
                 if new.to_bits() != self.arrival[gi].to_bits() {
-                    self.journal_arrival.push((i, self.arrival[gi]));
+                    self.journal.push((i, self.arrival[gi]));
                     self.arrival[gi] = new;
-                    for idx in self.fanout.offsets[gi]..self.fanout.offsets[gi + 1] {
-                        let s = self.fanout.items[idx as usize];
+                    for &s in csr.fanout_of(gi) {
                         self.enqueue(s);
                     }
                 }
@@ -317,42 +207,12 @@ impl IncrementalSta {
 
         if fallback {
             self.clear_worklist();
-            self.full_forward();
-            if self.track_required {
-                self.full_backward();
-            }
+            self.full_forward(delays);
             touched = n;
-        } else if self.track_required {
-            // Backward: fanin edges strictly decrease the level.
-            for s in backward_seeds {
-                self.enqueue(s);
-            }
-            for lvl in (0..=self.depth).rev() {
-                while let Some(i) = self.buckets[lvl].pop() {
-                    let gi = i as usize;
-                    self.queued[gi] = false;
-                    touched += 1;
-                    let new = self.recompute_required(gi);
-                    if new.to_bits() != self.required_raw[gi].to_bits() {
-                        self.journal_required.push((i, self.required_raw[gi]));
-                        self.required_raw[gi] = new;
-                        for idx in self.fanin.offsets[gi]..self.fanin.offsets[gi + 1] {
-                            let f = self.fanin.items[idx as usize];
-                            self.enqueue(f);
-                        }
-                    }
-                }
-            }
-        }
-
-        self.stats.commits += 1;
-        self.stats.gates_touched += touched as u64;
-        if fallback {
-            self.stats.fallbacks += 1;
         }
 
         #[cfg(debug_assertions)]
-        self.assert_consistent();
+        self.assert_consistent(delays);
 
         Commit {
             critical_delay: self.critical_delay(),
@@ -362,7 +222,7 @@ impl IncrementalSta {
     }
 
     /// Rolls back the most recent [`commit`](Self::commit), restoring every
-    /// overwritten delay, arrival and required time bit-exactly.
+    /// overwritten arrival bit-exactly. The caller restores its own delays.
     ///
     /// # Panics
     ///
@@ -370,24 +230,16 @@ impl IncrementalSta {
     pub fn undo(&mut self) {
         assert!(self.has_commit, "no commit to undo");
         self.has_commit = false;
-        for (i, old) in self.journal_required.drain(..).rev() {
-            self.required_raw[i as usize] = old;
-        }
-        for (i, old) in self.journal_arrival.drain(..).rev() {
+        for (i, old) in self.journal.drain(..).rev() {
             self.arrival[i as usize] = old;
         }
-        for (i, old) in self.journal_delay.drain(..).rev() {
-            self.delays[i as usize] = old;
-        }
-        #[cfg(debug_assertions)]
-        self.assert_consistent();
     }
 
     fn enqueue(&mut self, gate: u32) {
         let gi = gate as usize;
         if !self.queued[gi] {
             self.queued[gi] = true;
-            self.buckets[self.level[gi] as usize].push(gate);
+            self.buckets[self.csr.level_of(gi)].push(gate);
         }
     }
 
@@ -400,54 +252,26 @@ impl IncrementalSta {
         }
     }
 
-    fn recompute_arrival(&self, i: usize) -> f64 {
+    fn recompute_arrival(&self, delays: &[f64], i: usize) -> f64 {
         let latest = self
-            .fanin
-            .row(i)
+            .csr
+            .fanin_of(i)
             .iter()
             .map(|&f| self.arrival[f as usize])
             .fold(0.0, f64::max);
-        latest + self.delays[i]
+        latest + delays[i]
     }
 
-    /// `min(base, min over sinks s of required_raw[s] − delay[s])`. The
-    /// subtraction can yield NaN (`∞ − ∞` for an unconstrained sink with an
-    /// infinite delay); `f64::min` ignores NaN operands exactly like the
-    /// full pass's `if need < required` relaxation skips them.
-    fn recompute_required(&self, i: usize) -> f64 {
-        self.fanout
-            .row(i)
-            .iter()
-            .fold(self.base_required[i], |acc, &s| {
-                acc.min(self.required_raw[s as usize] - self.delays[s as usize])
-            })
-    }
-
-    fn full_forward(&mut self) {
-        for idx in 0..self.topo.len() {
-            let i = self.topo[idx] as usize;
-            let new = self.recompute_arrival(i);
-            if new.to_bits() != self.arrival[i].to_bits() {
-                self.journal_arrival.push((i as u32, self.arrival[i]));
-                self.arrival[i] = new;
+    /// The dense pass, in level order, journaling every arrival it moves.
+    fn full_forward(&mut self, delays: &[f64]) {
+        let csr = Arc::clone(&self.csr);
+        for &i in csr.order() {
+            let new = self.recompute_arrival(delays, i as usize);
+            if new.to_bits() != self.arrival[i as usize].to_bits() {
+                self.journal.push((i, self.arrival[i as usize]));
+                self.arrival[i as usize] = new;
             }
         }
-    }
-
-    fn full_backward(&mut self) {
-        for idx in (0..self.topo.len()).rev() {
-            let i = self.topo[idx] as usize;
-            let new = self.recompute_required(i);
-            if new.to_bits() != self.required_raw[i].to_bits() {
-                self.journal_required.push((i as u32, self.required_raw[i]));
-                self.required_raw[i] = new;
-            }
-        }
-    }
-
-    /// Current per-gate delays (indexed by [`GateId::index`]).
-    pub fn delays(&self) -> &[f64] {
-        &self.delays
     }
 
     /// Current per-gate arrival times (indexed by [`GateId::index`]).
@@ -460,54 +284,10 @@ impl IncrementalSta {
         self.arrival[id.index()]
     }
 
-    /// Required time at gate `id`'s output, seconds. Gates reaching no
-    /// output are clamped to the cycle time, as in [`Sta`](crate::Sta).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`forward_only`](Self::forward_only) analyzer.
-    pub fn required(&self, id: GateId) -> f64 {
-        assert!(self.track_required, "required times are not tracked");
-        let r = self.required_raw[id.index()];
-        if r.is_finite() {
-            r
-        } else {
-            self.cycle_time
-        }
-    }
-
-    /// Slack of gate `id`: `required − arrival`, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`forward_only`](Self::forward_only) analyzer.
-    pub fn slack(&self, id: GateId) -> f64 {
-        self.required(id) - self.arrival[id.index()]
-    }
-
-    /// The smallest slack over all gates, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`forward_only`](Self::forward_only) analyzer.
-    pub fn worst_slack(&self) -> f64 {
-        assert!(self.track_required, "required times are not tracked");
-        self.arrival
-            .iter()
-            .zip(self.required_raw.iter())
-            .map(|(a, r)| {
-                if r.is_finite() {
-                    r - a
-                } else {
-                    self.cycle_time - a
-                }
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The latest primary-output arrival, seconds.
     pub fn critical_delay(&self) -> f64 {
-        self.outputs
+        self.csr
+            .outputs()
             .iter()
             .map(|&o| self.arrival[o as usize])
             .fold(0.0, f64::max)
@@ -529,49 +309,17 @@ impl IncrementalSta {
         self.critical_delay() <= self.cycle_time
     }
 
-    /// Lifetime commit counters.
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
-    }
-
-    /// Recomputes the analysis densely from the current delays and panics
-    /// if any stored arrival or required time differs bitwise — the
-    /// incremental repair must land on exactly the full-pass fixed point.
-    /// Runs automatically after every commit and undo in builds with debug
-    /// assertions.
-    pub fn assert_consistent(&self) {
-        let n = self.arrival.len();
-        let mut arrival = vec![0.0f64; n];
-        for &t in &self.topo {
-            let i = t as usize;
-            let latest = self
-                .fanin
-                .row(i)
-                .iter()
-                .map(|&f| arrival[f as usize])
-                .fold(0.0, f64::max);
-            arrival[i] = latest + self.delays[i];
-        }
-        for (i, (full, inc)) in arrival.iter().zip(self.arrival.iter()).enumerate() {
+    /// Recomputes the arrivals densely from `delays` and panics if any
+    /// stored arrival differs bitwise — the incremental repair must land
+    /// on exactly the full-pass fixed point. Runs automatically after
+    /// every commit in builds with debug assertions.
+    pub fn assert_consistent(&self, delays: &[f64]) {
+        let dense = IncrementalSta::forward_only(Arc::clone(&self.csr), delays, self.cycle_time);
+        for (i, (full, inc)) in dense.arrival.iter().zip(&self.arrival).enumerate() {
             assert!(
                 full.to_bits() == inc.to_bits(),
                 "arrival[{i}] diverged: incremental {inc:e} vs full {full:e}"
             );
-        }
-        if self.track_required {
-            let mut required = self.base_required.clone();
-            for &t in self.topo.iter().rev() {
-                let i = t as usize;
-                required[i] = self.fanout.row(i).iter().fold(required[i], |acc, &s| {
-                    acc.min(required[s as usize] - self.delays[s as usize])
-                });
-            }
-            for (i, (full, inc)) in required.iter().zip(self.required_raw.iter()).enumerate() {
-                assert!(
-                    full.to_bits() == inc.to_bits(),
-                    "required[{i}] diverged: incremental {inc:e} vs full {full:e}"
-                );
-            }
         }
     }
 }
@@ -580,7 +328,7 @@ impl IncrementalSta {
 mod tests {
     use super::*;
     use crate::Sta;
-    use minpower_netlist::{GateKind, NetlistBuilder};
+    use minpower_netlist::{GateKind, Netlist, NetlistBuilder};
 
     fn diamond() -> Netlist {
         let mut b = NetlistBuilder::new("d");
@@ -624,31 +372,32 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn sta(netlist: &Netlist, delays: &[f64], tc: f64) -> IncrementalSta {
+        IncrementalSta::forward_only(Arc::new(LevelizedCsr::new(netlist)), delays, tc)
+    }
+
+    /// Arrivals, critical delay, critical sink and the constraint check
+    /// against a fresh dense [`Sta::analyze`].
     fn assert_matches_sta(inc: &IncrementalSta, netlist: &Netlist, delays: &[f64], tc: f64) {
         let sta = Sta::analyze(netlist, delays, tc);
+        let mut dense = Vec::with_capacity(netlist.gate_count());
         for i in 0..netlist.gate_count() {
             let id = GateId::new(i);
+            dense.push(sta.arrival(id));
             assert_eq!(
                 inc.arrival(id).to_bits(),
                 sta.arrival(id).to_bits(),
                 "arrival {i}"
-            );
-            assert_eq!(
-                inc.required(id).to_bits(),
-                sta.required(id).to_bits(),
-                "required {i}"
-            );
-            assert_eq!(
-                inc.slack(id).to_bits(),
-                sta.slack(id).to_bits(),
-                "slack {i}"
             );
         }
         assert_eq!(
             inc.critical_delay().to_bits(),
             sta.critical_delay().to_bits()
         );
-        assert_eq!(inc.worst_slack().to_bits(), sta.worst_slack().to_bits());
+        let sinks = virtual_sinks(&LevelizedCsr::new(netlist));
+        let (crit, gate) = sink_critical(&sinks, &dense);
+        assert_eq!(inc.critical_sink().0.to_bits(), crit.to_bits());
+        assert_eq!(inc.critical_sink().1, gate);
         assert_eq!(inc.meets_constraint(), sta.meets_constraint());
     }
 
@@ -656,7 +405,7 @@ mod tests {
     fn initial_analysis_matches_sta() {
         let n = diamond();
         let delays: Vec<f64> = (0..n.gate_count()).map(|i| i as f64 * 0.25).collect();
-        let inc = IncrementalSta::new(&n, &delays, 10.0);
+        let inc = sta(&n, &delays, 10.0);
         assert_matches_sta(&inc, &n, &delays, 10.0);
     }
 
@@ -667,7 +416,7 @@ mod tests {
             let mut delays: Vec<f64> = (0..n.gate_count())
                 .map(|i| ((i * 37 + 11) % 17) as f64 * 0.1)
                 .collect();
-            let mut inc = IncrementalSta::new(&n, &delays, 7.5);
+            let mut inc = sta(&n, &delays, 7.5);
             let mut state = seed | 1;
             for step in 0..60 {
                 state = state
@@ -676,8 +425,7 @@ mod tests {
                 let g = (state >> 33) as usize % n.gate_count();
                 let d = ((state >> 11) % 1000) as f64 * 0.01;
                 delays[g] = d;
-                inc.set_delay(GateId::new(g), d);
-                let c = inc.commit();
+                let c = inc.commit(&delays, [g as u32]);
                 assert!(c.critical_delay >= 0.0, "step {step}");
                 assert_matches_sta(&inc, &n, &delays, 7.5);
             }
@@ -688,12 +436,11 @@ mod tests {
     fn batched_edits_commit_together() {
         let n = diamond();
         let mut delays = vec![0.0; n.gate_count()];
-        let mut inc = IncrementalSta::new(&n, &delays, 5.0);
+        let mut inc = sta(&n, &delays, 5.0);
         for (i, d) in [(1usize, 2.0), (2, 0.5), (3, 1.25)] {
             delays[i] = d;
-            inc.set_delay(GateId::new(i), d);
         }
-        let c = inc.commit();
+        let c = inc.commit(&delays, [1, 2, 3]);
         assert!(!c.fallback || c.gates_touched as usize == n.gate_count());
         assert_matches_sta(&inc, &n, &delays, 5.0);
     }
@@ -701,57 +448,68 @@ mod tests {
     #[test]
     fn undo_restores_pre_commit_state() {
         let n = random_netlist(3, 30, 9);
-        let delays: Vec<f64> = (0..n.gate_count()).map(|i| (i % 7) as f64 * 0.3).collect();
-        let mut inc = IncrementalSta::new(&n, &delays, 9.0);
+        let mut delays: Vec<f64> = (0..n.gate_count()).map(|i| (i % 7) as f64 * 0.3).collect();
+        let original = delays.clone();
+        let mut inc = sta(&n, &delays, 9.0);
         let before = inc.clone();
-        inc.set_delay(GateId::new(n.gate_count() - 1), 42.0);
-        inc.set_delay(GateId::new(4), 1.5);
-        inc.commit();
+        let last = n.gate_count() - 1;
+        delays[last] = 42.0;
+        delays[4] = 1.5;
+        inc.commit(&delays, [last as u32, 4]);
         inc.undo();
         for i in 0..n.gate_count() {
             let id = GateId::new(i);
             assert_eq!(inc.arrival(id).to_bits(), before.arrival(id).to_bits());
-            assert_eq!(inc.required(id).to_bits(), before.required(id).to_bits());
-            assert_eq!(inc.delays()[i].to_bits(), before.delays()[i].to_bits());
         }
-        assert_matches_sta(&inc, &n, &delays, 9.0);
+        assert_matches_sta(&inc, &n, &original, 9.0);
     }
 
     #[test]
     #[should_panic(expected = "no commit to undo")]
     fn double_undo_panics() {
         let n = diamond();
-        let mut inc = IncrementalSta::new(&n, &vec![0.0; n.gate_count()], 1.0);
-        inc.set_delay(GateId::new(1), 1.0);
-        inc.commit();
+        let mut delays = vec![0.0; n.gate_count()];
+        let mut inc = sta(&n, &delays, 1.0);
+        delays[1] = 1.0;
+        inc.commit(&delays, [1]);
         inc.undo();
         inc.undo();
     }
 
+    /// A cone past [`DEFAULT_FALLBACK_FRACTION`] of the gates takes the
+    /// dense path; a small one does not. Both land on the dense fixed
+    /// point and undo exactly.
     #[test]
     fn forced_fallback_stays_bit_identical() {
         let n = random_netlist(4, 25, 3);
         let mut delays: Vec<f64> = vec![0.1; n.gate_count()];
-        let mut inc = IncrementalSta::new(&n, &delays, 4.0);
-        inc.set_fallback_fraction(0.0);
+        let mut inc = sta(&n, &delays, 4.0);
+        // Gate 6 feeds most of the netlist: its slowdown moves every
+        // downstream arrival.
         delays[6] = 2.0;
-        inc.set_delay(GateId::new(6), 2.0);
-        let c = inc.commit();
+        let c = inc.commit(&delays, [6]);
         assert!(c.fallback);
         assert_eq!(c.gates_touched as usize, n.gate_count());
         assert_matches_sta(&inc, &n, &delays, 4.0);
         inc.undo();
         delays[6] = 0.1;
         assert_matches_sta(&inc, &n, &delays, 4.0);
+        // The last gate has no fanout: a one-gate cone.
+        let last = n.gate_count() - 1;
+        delays[last] = 2.0;
+        let c = inc.commit(&delays, [last as u32]);
+        assert!(!c.fallback);
+        assert_eq!(c.gates_touched, 1);
+        assert_matches_sta(&inc, &n, &delays, 4.0);
     }
 
     #[test]
     fn infinite_delays_are_handled() {
-        // An infinite delay makes downstream arrivals infinite and required
-        // times NaN-prone (∞ − ∞); both paths must agree regardless.
+        // An infinite delay makes downstream arrivals infinite; both paths
+        // must agree regardless.
         let n = random_netlist(3, 20, 5);
         let mut delays: Vec<f64> = vec![0.2; n.gate_count()];
-        let mut inc = IncrementalSta::new(&n, &delays, 3.0);
+        let mut inc = sta(&n, &delays, 3.0);
         for (g, d) in [
             (5usize, f64::INFINITY),
             (9, 0.7),
@@ -759,54 +517,33 @@ mod tests {
             (12, f64::INFINITY),
         ] {
             delays[g] = d;
-            inc.set_delay(GateId::new(g), d);
-            inc.commit();
+            inc.commit(&delays, [g as u32]);
             assert_matches_sta(&inc, &n, &delays, 3.0);
         }
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let n = diamond();
-        let mut inc = IncrementalSta::new(&n, &vec![0.0; n.gate_count()], 1.0);
-        inc.set_delay(GateId::new(1), 1.0);
-        inc.commit();
-        inc.set_delay(GateId::new(1), 2.0);
-        inc.commit();
-        let s = inc.stats();
-        assert_eq!(s.commits, 2);
-        assert!(s.gates_touched >= 2);
     }
 
     #[test]
     fn forward_only_tracks_critical_delay() {
         let n = diamond();
         let mut delays = vec![0.0; n.gate_count()];
-        let mut inc = IncrementalSta::forward_only(&n, &delays, 5.0);
+        let mut inc = sta(&n, &delays, 5.0);
         delays[1] = 3.0;
         delays[3] = 2.0;
-        inc.set_delay(GateId::new(1), 3.0);
-        inc.set_delay(GateId::new(3), 2.0);
-        let c = inc.commit();
+        let c = inc.commit(&delays, [1, 3]);
         let sta = Sta::analyze(&n, &delays, 5.0);
         assert_eq!(c.critical_delay.to_bits(), sta.critical_delay().to_bits());
         let (crit, gate) = inc.critical_sink();
         assert!(crit >= sta.critical_delay());
         assert!(gate.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "required times are not tracked")]
-    fn forward_only_required_panics() {
-        let n = diamond();
-        let inc = IncrementalSta::forward_only(&n, &vec![0.0; n.gate_count()], 1.0);
-        let _ = inc.required(GateId::new(0));
+        inc.set_cycle_time(4.0);
+        assert!(!inc.meets_constraint());
+        assert_matches_sta(&inc, &n, &delays, 4.0);
     }
 
     #[test]
     fn virtual_sinks_include_dangling_gates() {
         let n = diamond();
-        let sinks = virtual_sinks(&n);
+        let sinks = virtual_sinks(&LevelizedCsr::new(&n));
         let y = n.find("y").unwrap().index() as u32;
         let dangle = n.find("dangle").unwrap().index() as u32;
         assert!(sinks.contains(&y));

@@ -6,8 +6,11 @@
 //! §4.2) — not its gate count. This crate provides the timing machinery
 //! that procedure (and the experiments) need:
 //!
-//! * [`Sta`] — arrival/required/slack analysis for a delay assignment
-//!   under a cycle-time constraint;
+//! * [`Sta`] — dense arrival/required/slack analysis for a delay
+//!   assignment under a cycle-time constraint;
+//! * [`IncrementalSta`] — warm forward-only arrivals over a shared
+//!   [`LevelizedCsr`](minpower_netlist::LevelizedCsr), repaired over the
+//!   dirty fanout cone of each delay edit and bit-identical to [`Sta`]'s;
 //! * [`Criticality`] — the prefix/suffix dynamic program over fanout
 //!   weights: maximum path criticality through every gate, and extraction
 //!   of the maximizing path;
@@ -43,12 +46,11 @@ mod delay_paths;
 mod event_sim;
 pub mod incremental;
 mod kpaths;
-pub mod soa;
 mod sta;
 
 pub use criticality::Criticality;
 pub use delay_paths::{DelayPath, KWorstDelayPaths};
 pub use event_sim::{EventSimResult, EventSimulator};
-pub use incremental::{Commit, IncrementalSta, IncrementalStats};
+pub use incremental::{Commit, IncrementalSta};
 pub use kpaths::{KMostCriticalPaths, Path};
 pub use sta::Sta;

@@ -1,6 +1,6 @@
 //! Arrival / required / slack analysis.
 
-use minpower_netlist::{GateId, LevelizedCsr, Netlist};
+use minpower_netlist::{GateId, Netlist};
 
 /// Result of a static timing analysis pass: per-gate arrival and required
 /// times and slacks against a cycle-time constraint.
@@ -93,23 +93,6 @@ impl Sta {
                 *r = cycle_time;
             }
         }
-    }
-
-    /// [`Sta::analyze_into`] over a prebuilt [`LevelizedCsr`]: the same
-    /// analysis as a few contiguous level sweeps instead of a pointer
-    /// chase per gate. Produces exactly — bit for bit — the state
-    /// [`Sta::analyze`] would; the flat view pays off for callers that
-    /// analyze the same structure in a loop (Monte-Carlo trials, probe
-    /// sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len()` differs from the CSR's gate count.
-    pub fn analyze_levelized_into(&mut self, csr: &LevelizedCsr, delays: &[f64], cycle_time: f64) {
-        self.cycle_time = cycle_time;
-        crate::soa::arrivals_levelized(csr, delays, &mut self.arrival);
-        self.critical_delay = crate::soa::critical_delay(csr, &self.arrival);
-        crate::soa::required_levelized(csr, delays, cycle_time, &mut self.required);
     }
 
     /// Arrival time at gate `id`'s output, seconds.
@@ -217,19 +200,6 @@ mod tests {
         assert_eq!(sta.required(y), 10.0);
         assert_eq!(sta.required(u), 8.0);
         assert_eq!(sta.required(n.find("a").unwrap()), 5.0);
-    }
-
-    #[test]
-    fn levelized_analysis_matches_dense() {
-        let n = diamond();
-        let d = delays_of(&n, &[("u", 3.0), ("v", 1.0), ("y", 2.0)]);
-        let csr = LevelizedCsr::new(&n);
-        for cycle_time in [4.0, 6.0, 10.0] {
-            let dense = Sta::analyze(&n, &d, cycle_time);
-            let mut soa = Sta::analyze(&n, &d, 1.0); // stale state to overwrite
-            soa.analyze_levelized_into(&csr, &d, cycle_time);
-            assert_eq!(soa, dense);
-        }
     }
 
     #[test]

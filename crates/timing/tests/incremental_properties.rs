@@ -1,11 +1,15 @@
-//! Property-based equivalence: after every commit of a random edit
-//! sequence on a random netlist, `IncrementalSta`'s arrival / required /
-//! slack arrays are bit-equal to a fresh `Sta::analyze`.
+//! Property-based equivalence: after every commit (and undo) of a random
+//! edit sequence on a random netlist, `IncrementalSta`'s arrivals, critical
+//! delay, critical sink and constraint check are bit-equal to a fresh
+//! `Sta::analyze`.
 //!
 //! Run with `cargo test -p minpower-timing --features proptest`.
 #![cfg(feature = "proptest")]
 
-use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
+use std::sync::Arc;
+
+use minpower_netlist::{GateId, GateKind, LevelizedCsr, Netlist, NetlistBuilder};
+use minpower_timing::incremental::{sink_critical, virtual_sinks};
 use minpower_timing::{IncrementalSta, Sta};
 
 /// SplitMix64 — deterministic, dependency-free.
@@ -77,22 +81,14 @@ fn random_netlist(rng: &mut Rng) -> Netlist {
 
 fn assert_bit_equal(inc: &IncrementalSta, netlist: &Netlist, delays: &[f64], tc: f64, case: &str) {
     let sta = Sta::analyze(netlist, delays, tc);
+    let mut dense = Vec::with_capacity(netlist.gate_count());
     for i in 0..netlist.gate_count() {
         let id = GateId::new(i);
+        dense.push(sta.arrival(id));
         assert_eq!(
             inc.arrival(id).to_bits(),
             sta.arrival(id).to_bits(),
             "{case}: arrival[{i}]"
-        );
-        assert_eq!(
-            inc.required(id).to_bits(),
-            sta.required(id).to_bits(),
-            "{case}: required[{i}]"
-        );
-        assert_eq!(
-            inc.slack(id).to_bits(),
-            sta.slack(id).to_bits(),
-            "{case}: slack[{i}]"
         );
     }
     assert_eq!(
@@ -100,32 +96,53 @@ fn assert_bit_equal(inc: &IncrementalSta, netlist: &Netlist, delays: &[f64], tc:
         sta.critical_delay().to_bits(),
         "{case}: critical"
     );
+    let (crit, gate) = sink_critical(&virtual_sinks(&LevelizedCsr::new(netlist)), &dense);
+    assert_eq!(
+        inc.critical_sink().0.to_bits(),
+        crit.to_bits(),
+        "{case}: sink"
+    );
+    assert_eq!(inc.critical_sink().1, gate, "{case}: sink gate");
+    assert_eq!(
+        inc.meets_constraint(),
+        sta.meets_constraint(),
+        "{case}: constraint"
+    );
+}
+
+fn forward_only(netlist: &Netlist, delays: &[f64], tc: f64) -> IncrementalSta {
+    IncrementalSta::forward_only(Arc::new(LevelizedCsr::new(netlist)), delays, tc)
 }
 
 #[test]
 fn random_edit_sequences_stay_bit_equal_to_full_sta() {
+    // Commits whose cone passes the fallback fraction take the dense path;
+    // both paths must occur across the seeds.
+    let (mut worklist, mut fallbacks) = (0usize, 0usize);
     for seed in 0..32u64 {
         let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 0x1234);
         let netlist = random_netlist(&mut rng);
         let n = netlist.gate_count();
         let tc = 1e-9;
         let mut delays: Vec<f64> = (0..n).map(|_| rng.delay()).collect();
-        let mut inc = IncrementalSta::new(&netlist, &delays, tc);
-        // Exercise both the worklist and the dense-fallback path.
-        if seed % 5 == 0 {
-            inc.set_fallback_fraction(0.0);
-        }
+        let mut inc = forward_only(&netlist, &delays, tc);
         assert_bit_equal(&inc, &netlist, &delays, tc, &format!("seed {seed} init"));
         for step in 0..80 {
             let batch = 1 + rng.below(3);
+            let mut moved = Vec::with_capacity(batch);
             for _ in 0..batch {
                 let g = rng.below(n);
-                let d = rng.delay();
-                delays[g] = d;
-                inc.set_delay(GateId::new(g), d);
+                delays[g] = rng.delay();
+                moved.push(g as u32);
             }
-            let commit = inc.commit();
-            assert!(commit.gates_touched as usize <= n || commit.fallback);
+            let commit = inc.commit(&delays, moved);
+            assert!(commit.gates_touched as usize <= n);
+            if commit.fallback {
+                assert_eq!(commit.gates_touched as usize, n);
+                fallbacks += 1;
+            } else {
+                worklist += 1;
+            }
             assert_bit_equal(
                 &inc,
                 &netlist,
@@ -135,6 +152,8 @@ fn random_edit_sequences_stay_bit_equal_to_full_sta() {
             );
         }
     }
+    assert!(worklist > 0, "no commit stayed on the worklist");
+    assert!(fallbacks > 0, "no commit fell back to the dense pass");
 }
 
 #[test]
@@ -144,13 +163,15 @@ fn random_undo_round_trips_bit_exactly() {
         let netlist = random_netlist(&mut rng);
         let n = netlist.gate_count();
         let tc = 5e-10;
-        let delays: Vec<f64> = (0..n).map(|_| rng.delay()).collect();
-        let mut inc = IncrementalSta::new(&netlist, &delays, tc);
+        let mut delays: Vec<f64> = (0..n).map(|_| rng.delay()).collect();
+        let mut inc = forward_only(&netlist, &delays, tc);
         for step in 0..40 {
             let g = rng.below(n);
-            inc.set_delay(GateId::new(g), rng.delay());
-            inc.commit();
+            let old = delays[g];
+            delays[g] = rng.delay();
+            inc.commit(&delays, [g as u32]);
             inc.undo();
+            delays[g] = old;
             assert_bit_equal(
                 &inc,
                 &netlist,

@@ -257,9 +257,11 @@ fn print_usage() {
          run control (optimize): --time-limit SECS stops the search at the\n\
          \x20 next probe once the soft deadline passes; Ctrl-C stops the same\n\
          \x20 way. Either prints the best design found so far and exits 4.\n\
-         \x20 --checkpoint FILE periodically snapshots the run (atomic\n\
-         \x20 write-then-rename); --resume FILE restarts from a snapshot and\n\
-         \x20 finishes bit-identically to an uninterrupted run.\n\
+         \x20 --checkpoint FILE journals the run: each probe is appended once\n\
+         \x20 to an append-only, CRC-framed probe journal (format version 2)\n\
+         \x20 and fsynced in batches; --resume FILE replays the journal's\n\
+         \x20 longest valid prefix (a torn tail is cut off) and finishes\n\
+         \x20 bit-identically to an uninterrupted run.\n\
          \n\
          exit codes: 0 success, 1 runtime error, 2 bad usage,\n\
          \x20 3 infeasible (no design meets the cycle time),\n\

@@ -16,7 +16,7 @@ use minpower_models::Design;
 use minpower_netlist::GateKind;
 
 use crate::budget::assign_max_delays;
-use crate::checkpoint::{AnnealState, Checkpoint, CheckpointSpec};
+use crate::checkpoint::{AnnealCheckpoint, AnnealState, CheckpointSpec};
 use crate::error::OptimizeError;
 use crate::problem::Problem;
 use crate::result::OptimizationResult;
@@ -177,29 +177,16 @@ pub fn optimize_ctl(
     let mut best_feasible;
     let mut skip_init;
     if let Some(path) = resume {
-        let state = match Checkpoint::load(path)? {
-            Checkpoint::Anneal { salt: s, state } => {
-                if s != salt {
-                    return Err(OptimizeError::Checkpoint {
-                        message: format!(
-                            "{} was taken for a different problem or option set \
-                             (fingerprint mismatch)",
-                            path.display()
-                        ),
-                    });
-                }
-                state
-            }
-            other => {
-                return Err(OptimizeError::Checkpoint {
-                    message: format!(
-                        "{} is an `{}` checkpoint, not an anneal checkpoint",
-                        path.display(),
-                        other.engine()
-                    ),
-                });
-            }
-        };
+        let AnnealCheckpoint { salt: s, state } = AnnealCheckpoint::load(path)?;
+        if s != salt {
+            return Err(OptimizeError::Checkpoint {
+                message: format!(
+                    "{} was taken for a different problem or option set \
+                     (fingerprint mismatch)",
+                    path.display()
+                ),
+            });
+        }
         rng = SplitMix64::from_state(state.rng_state);
         pass = state.pass;
         step = state.step;
@@ -246,7 +233,7 @@ pub fn optimize_ctl(
         if !(due || (force && evaluations != last_write)) {
             return Ok(());
         }
-        let snapshot = Checkpoint::Anneal {
+        let snapshot = AnnealCheckpoint {
             salt,
             state: AnnealState {
                 pass,
@@ -263,7 +250,7 @@ pub fn optimize_ctl(
         };
         match snapshot.save_report(&spec.path) {
             Ok(report) => {
-                stats.count_checkpoint();
+                stats.count_checkpoint(report.bytes);
                 stats.count_store_write(report.retries);
                 if let Some(health) = &spec.health {
                     health.report_success();

@@ -40,8 +40,9 @@ pub struct EvalContext {
     cache: Option<EvalCache<Sized>>,
     quantizer: Quantizer,
     stats: Arc<EngineStats>,
-    /// Probe journal for checkpointing: every distinct probe completed
-    /// since [`EvalContext::enable_probe_journal`], in completion order.
+    /// Probe journal for checkpointing: the distinct probes completed
+    /// since [`EvalContext::enable_probe_journal`] and not yet taken by
+    /// [`EvalContext::take_journal`], in completion order.
     journal: Mutex<Option<Journal>>,
     /// Monotone probe counter — the call index of the `probe.nan` fault
     /// site.
@@ -49,11 +50,11 @@ pub struct EvalContext {
 }
 
 struct Journal {
-    /// Exact fingerprints already journaled (dedup across cache replays).
+    /// Exact fingerprints already journaled or preloaded (dedup across
+    /// cache replays and resumes).
     seen: HashSet<u64>,
-    /// The budget vector all journaled probes shared (constant per run).
-    budgets: Option<Vec<f64>>,
-    records: Vec<ProbeRecord>,
+    /// The unflushed tail: probes recorded since the last take.
+    pending: Vec<ProbeRecord>,
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -138,46 +139,47 @@ impl EvalContext {
 
     /// Starts recording every distinct probe into the journal (clearing
     /// any previous journal). The journal is what a search checkpoint
-    /// snapshots: replaying it through
+    /// appends: replaying it through
     /// [`preload_probes`](Self::preload_probes) makes a resumed
     /// deterministic search bit-identical to the uninterrupted run.
     pub fn enable_probe_journal(&self) {
         let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         *guard = Some(Journal {
             seen: HashSet::new(),
-            budgets: None,
-            records: Vec::new(),
+            pending: Vec::new(),
         });
     }
 
-    /// A snapshot of the journal: the shared budget vector and every
-    /// distinct probe recorded so far. Empty when journaling is off.
-    pub fn probe_journal(&self) -> (Vec<f64>, Vec<ProbeRecord>) {
-        let guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(j) => (j.budgets.clone().unwrap_or_default(), j.records.clone()),
-            None => (Vec::new(), Vec::new()),
-        }
+    /// Drains the probes recorded since the last call, so each is
+    /// written once. Empty when journaling is off.
+    pub fn take_journal(&self) -> Vec<ProbeRecord> {
+        let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        guard
+            .as_mut()
+            .map(|j| std::mem::take(&mut j.pending))
+            .unwrap_or_default()
     }
 
-    /// Preloads checkpointed probes into the evaluation cache (and into
-    /// the journal, when enabled, so subsequent checkpoints stay
-    /// cumulative). With caching disabled this only re-journals: the
-    /// resumed search then recomputes each probe — slower, but still
-    /// bit-identical, since cache hits never change results.
+    /// Preloads checkpointed probes into the evaluation cache and marks
+    /// them journaled, so they are never appended again. With caching
+    /// disabled the resumed search recomputes each probe — slower, but
+    /// still bit-identical, since cache hits never change results.
     pub fn preload_probes(&self, salt: u64, budgets: &[f64], probes: &[ProbeRecord]) {
+        let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         for p in probes {
-            let out = Sized {
-                design: p.design.clone(),
-                energy: p.energy,
-                critical_delay: p.critical_delay,
-                feasible: p.feasible,
-            };
-            if let Some(cache) = &self.cache {
-                let (key, fingerprint) = self.quantizer.key(p.vdd, &p.vts, budgets, salt);
-                cache.insert(key, fingerprint, out.clone());
+            let (key, fingerprint) = self.quantizer.key(p.vdd, &p.vts, budgets, salt);
+            if let Some(journal) = guard.as_mut() {
+                journal.seen.insert(fingerprint.0);
             }
-            self.record_probe(salt, p.vdd, &p.vts, budgets, &out);
+            if let Some(cache) = &self.cache {
+                let out = Sized {
+                    design: p.design.clone(),
+                    energy: p.energy,
+                    critical_delay: p.critical_delay,
+                    feasible: p.feasible,
+                };
+                cache.insert(key, fingerprint, out);
+            }
         }
     }
 
@@ -190,10 +192,7 @@ impl EvalContext {
         if !journal.seen.insert(fingerprint.0) {
             return;
         }
-        if journal.budgets.is_none() {
-            journal.budgets = Some(widths.to_vec());
-        }
-        journal.records.push(ProbeRecord {
+        journal.pending.push(ProbeRecord {
             vdd,
             vts: vts.to_vec(),
             design: out.design.clone(),

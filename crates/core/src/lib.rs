@@ -76,7 +76,7 @@ pub mod tilos;
 pub mod variation;
 pub mod yield_mc;
 
-pub use checkpoint::{Checkpoint, CheckpointSpec};
+pub use checkpoint::{AnnealCheckpoint, CheckpointSpec, ProbeJournal};
 pub use context::EvalContext;
 pub use error::OptimizeError;
 pub use jobstore::{Claim, FsJobStore, JobStore, Lease};

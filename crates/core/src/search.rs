@@ -28,7 +28,7 @@ use minpower_engine::stats::Phase;
 use minpower_models::{CircuitModel, Design, EnergyBreakdown, SizeScratch, SoaKernel};
 use minpower_netlist::{GateId, GateKind, Netlist};
 
-use crate::checkpoint::{Checkpoint, CheckpointSpec};
+use crate::checkpoint::{CheckpointSpec, JournalWriter, ProbeJournal};
 use crate::context::EvalContext;
 use crate::error::OptimizeError;
 use crate::incremental::IncrementalEval;
@@ -688,6 +688,8 @@ pub struct Optimizer<'a> {
 /// Bookkeeping for periodic checkpoint writes during a run.
 struct CpState {
     last_write: usize,
+    /// The journal's writing end; `None` without a checkpoint spec.
+    writer: Option<JournalWriter>,
     error: Option<OptimizeError>,
 }
 
@@ -727,29 +729,34 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Periodically snapshots the run's probe journal to `spec.path`
-    /// (atomically), plus a final snapshot on interruption and on
-    /// completion. The snapshot can be fed back through
+    /// Journals the run's probes to `spec.path`: each new probe is
+    /// appended once, in batches of one write and one `fdatasync` every
+    /// `spec.every` evaluations, plus a final batch on interruption and
+    /// on completion. The journal can be fed back through
     /// [`resume_from`](Self::resume_from).
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.checkpoint = Some(spec);
         self
     }
 
-    /// Resumes from a checkpoint written by
-    /// [`with_checkpoint`](Self::with_checkpoint): the journaled probes
-    /// preload the evaluation cache and the deterministic search replays
-    /// to exactly the state it was interrupted in, then continues — the
-    /// final result is bit-identical to an uninterrupted run's. The
-    /// checkpoint must come from the same problem and options (validated
-    /// by fingerprint).
+    /// Resumes from a probe journal written by
+    /// [`with_checkpoint`](Self::with_checkpoint): the longest valid
+    /// prefix of journaled probes preloads the evaluation cache and the
+    /// deterministic search replays to exactly the state it was
+    /// interrupted in, then continues — the final result is
+    /// bit-identical to an uninterrupted run's. The journal must come
+    /// from the same problem and options (validated by fingerprint).
+    /// When the run also checkpoints, its journal continues the resumed
+    /// one: a torn tail is cut off first, and preloaded probes are not
+    /// written again.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
     }
 
-    /// Writes a checkpoint if one is due (or `force`d), folding any I/O
-    /// failure into `cp` for the caller to surface once.
+    /// Appends the probes journaled since the last write if a write is
+    /// due (or `force`d), folding any I/O failure into `cp` for the
+    /// caller to surface once.
     fn maybe_checkpoint(
         &self,
         sizer: &Sizer<'_>,
@@ -757,7 +764,9 @@ impl<'a> Optimizer<'a> {
         cp: &mut CpState,
         force: bool,
     ) {
-        let Some(spec) = &self.checkpoint else { return };
+        let (Some(spec), Some(writer)) = (&self.checkpoint, cp.writer.as_mut()) else {
+            return;
+        };
         if cp.error.is_some() {
             return;
         }
@@ -765,24 +774,19 @@ impl<'a> Optimizer<'a> {
         if !(due || (force && evaluations != cp.last_write)) {
             return;
         }
-        let (mut budgets, probes) = self.engine.probe_journal();
-        if budgets.is_empty() {
-            budgets = sizer.budgets.clone();
+        cp.last_write = evaluations;
+        let probes = self.engine.take_journal();
+        if probes.is_empty() {
+            return;
         }
-        let snapshot = Checkpoint::Search {
-            salt: sizer.salt,
-            evaluations,
-            budgets,
-            probes,
-        };
-        match snapshot.save_report(&spec.path) {
+        match writer.append(sizer.salt, &sizer.budgets, &probes) {
             Ok(report) => {
-                self.engine.stats().count_checkpoint();
-                self.engine.stats().count_store_write(report.retries);
+                let stats = self.engine.stats();
+                stats.count_checkpoint(report.bytes);
+                stats.count_store_write(report.retries);
                 if let Some(health) = &spec.health {
                     health.report_success();
                 }
-                cp.last_write = evaluations;
             }
             Err(e) => {
                 if let Some(health) = &spec.health {
@@ -790,13 +794,11 @@ impl<'a> Optimizer<'a> {
                 }
                 if spec.required {
                     cp.error = Some(e);
-                } else {
-                    // Best-effort policy: the run continues without this
-                    // snapshot. Advancing the watermark throttles
-                    // re-attempts to the normal cadence — and a later
-                    // success un-latches `health`.
-                    cp.last_write = evaluations;
                 }
+                // Best-effort policy: the run continues and this batch is
+                // dropped from the journal — a resume recomputes those
+                // probes, still bit-identically. The next success
+                // un-latches `health`.
             }
         }
     }
@@ -831,38 +833,35 @@ impl<'a> Optimizer<'a> {
             self.options.budget_policy,
             self.options.sizing,
         );
-        if self.checkpoint.is_some() {
+        let mut writer = self.checkpoint.as_ref().map(|spec| {
             self.engine.enable_probe_journal();
-        }
+            JournalWriter::new(&spec.path)
+        });
         if let Some(path) = &self.resume {
-            match Checkpoint::load(path)? {
-                Checkpoint::Search {
-                    salt,
-                    budgets,
-                    probes,
-                    ..
-                } => {
-                    if salt != sizer.salt {
-                        return Err(OptimizeError::Checkpoint {
-                            message: format!(
-                                "{} was taken for a different problem or option set \
-                                 (fingerprint mismatch)",
-                                path.display()
-                            ),
-                        });
+            let journal = ProbeJournal::load(path)?;
+            if journal.salt != sizer.salt {
+                return Err(OptimizeError::Checkpoint {
+                    message: format!(
+                        "{} was taken for a different problem or option set \
+                         (fingerprint mismatch)",
+                        path.display()
+                    ),
+                });
+            }
+            if let Some(spec) = &self.checkpoint {
+                match JournalWriter::resume(&spec.path, path, journal.valid_len) {
+                    Ok(continued) => writer = Some(continued),
+                    Err(e) if spec.required => return Err(e),
+                    // Best-effort: start a fresh journal instead.
+                    Err(e) => {
+                        if let Some(health) = &spec.health {
+                            health.report_failure(&e.to_string());
+                        }
                     }
-                    self.engine.preload_probes(salt, &budgets, &probes);
-                }
-                other => {
-                    return Err(OptimizeError::Checkpoint {
-                        message: format!(
-                            "{} is an `{}` checkpoint, not a search checkpoint",
-                            path.display(),
-                            other.engine()
-                        ),
-                    });
                 }
             }
+            self.engine
+                .preload_probes(journal.salt, &journal.budgets, &journal.probes);
         }
         let n = model.netlist().gate_count();
         let m = self.options.steps;
@@ -872,6 +871,7 @@ impl<'a> Optimizer<'a> {
         let mut evaluations = 0usize;
         let mut cp = CpState {
             last_write: 0,
+            writer,
             error: None,
         };
         let mut tripped: Option<TripReason> = None;

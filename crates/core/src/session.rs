@@ -16,7 +16,7 @@
 //! - [`SessionOp`] — the typed edit vocabulary (resize, retime via
 //!   `set_vt`, operating-point nudges, structural add/remove/rewire/
 //!   retype, dirty-cone re-optimization), with a JSON codec whose persisted
-//!   form uses the checkpoint hex-float encoding so replay is
+//!   form uses the hex-bits float encoding of `crate::json` so replay is
 //!   bit-exact.
 //! - [`SessionState`] — the warm state and the per-op incremental
 //!   strategies: width/vt edits run the journaled delay repair +
@@ -41,7 +41,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +50,7 @@ use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 
 use crate::incremental::IncrementalEval;
 use crate::json::{self, Value};
+use crate::store::FramedJournal;
 
 /// Input switching probability used for every session model, matching
 /// the cold job path (`JobSpec::build`) so a session and the equivalent
@@ -1030,7 +1030,7 @@ impl SessionState {
         gates * 176 + edges * 24 + names + dirty
     }
 
-    /// Full-state snapshot in the checkpoint encoding: rebuilding via
+    /// Full-state snapshot in the hex-bits float encoding: rebuilding via
     /// [`SessionState::from_snapshot`] yields a bitwise-identical
     /// state. This is what the service's periodic checkpoint persists.
     pub fn snapshot(&self) -> Value {
@@ -1230,6 +1230,8 @@ pub fn reset_fault_indices() {
     OPLOG_TORN_SEQ.store(0, Ordering::Relaxed);
 }
 
+const OPLOG: FramedJournal = FramedJournal::new(OPLOG_MAGIC, OPLOG_VERSION);
+
 /// Appends one op record — `"minpower-oplog <version> <len> <crc32>\n"`
 /// then canonical op JSON then `"\n"` — and fsyncs, returning the bytes
 /// written (the service's disk accounting sums them against the session
@@ -1243,23 +1245,14 @@ pub fn reset_fault_indices() {
 /// the session reconverges to the durable log.
 pub fn append_op(path: &Path, op: &SessionOp) -> std::io::Result<u64> {
     let payload = op.to_json().render();
-    let bytes = payload.as_bytes();
-    let crc = crate::store::crc32(bytes);
-    let header = format!("{OPLOG_MAGIC} {OPLOG_VERSION} {} {crc:08x}\n", bytes.len());
-    let mut record = header.into_bytes();
-    let header_len = record.len();
-    record.extend_from_slice(bytes);
-    record.push(b'\n');
+    let mut record = Vec::with_capacity(payload.len() + 48);
+    OPLOG.frame_into(&mut record, payload.as_bytes());
     let seq = OPLOG_TORN_SEQ.fetch_add(1, Ordering::Relaxed);
     if minpower_engine::faults::should_fire("session.oplog.torn", seq) {
-        record.truncate(header_len + bytes.len() / 2);
+        let header_len = record.len() - payload.len() - 1;
+        record.truncate(header_len + payload.len() / 2);
     }
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    file.write_all(&record)?;
-    file.sync_data()?;
+    FramedJournal::append(path, &record)?;
     Ok(record.len() as u64)
 }
 
@@ -1283,47 +1276,9 @@ pub fn read_oplog(path: &Path) -> OplogReplay {
             truncated: false,
         };
     };
-    let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            return OplogReplay {
-                ops,
-                truncated: true,
-            };
-        };
-        let header = &bytes[pos..pos + nl];
-        let parsed = std::str::from_utf8(header).ok().and_then(|line| {
-            let mut it = line.split(' ');
-            let magic = it.next()?;
-            let version = it.next()?.parse::<u32>().ok()?;
-            let len = it.next()?.parse::<usize>().ok()?;
-            let crc = u32::from_str_radix(it.next()?, 16).ok()?;
-            if magic != OPLOG_MAGIC || version != OPLOG_VERSION || it.next().is_some() {
-                return None;
-            }
-            Some((len, crc))
-        });
-        let Some((len, crc)) = parsed else {
-            return OplogReplay {
-                ops,
-                truncated: true,
-            };
-        };
-        let start = pos + nl + 1;
-        if start + len > bytes.len() {
-            return OplogReplay {
-                ops,
-                truncated: true,
-            };
-        }
-        let payload = &bytes[start..start + len];
-        if crate::store::crc32(payload) != crc {
-            return OplogReplay {
-                ops,
-                truncated: true,
-            };
-        }
+    let prefix = OPLOG.scan(&bytes);
+    let mut ops = Vec::with_capacity(prefix.records.len());
+    for (payload, _) in &prefix.records {
         let op = std::str::from_utf8(payload)
             .ok()
             .and_then(|text| json::parse(text).ok())
@@ -1335,14 +1290,10 @@ pub fn read_oplog(path: &Path) -> OplogReplay {
             };
         };
         ops.push(op);
-        pos = start + len;
-        if bytes.get(pos) == Some(&b'\n') {
-            pos += 1;
-        }
     }
     OplogReplay {
         ops,
-        truncated: false,
+        truncated: prefix.valid_len < bytes.len(),
     }
 }
 
@@ -1701,5 +1652,27 @@ mod tests {
             "rejected edits must not mutate"
         );
         assert_eq!(s.revision(), 0);
+    }
+
+    #[test]
+    fn oplog_bytes_match_the_v1_layout() {
+        // Golden bytes of the op-log layout existing `*.oplog` files use:
+        // they must keep replaying unchanged.
+        let dir = scratch_dir("golden");
+        let path = dir.join("session.oplog");
+        append_op(&path, &SessionOp::SetFc { fc: 310.0e6 }).unwrap();
+        let resize = SessionOp::Resize {
+            gate: "n1".into(),
+            width: 2.5,
+        };
+        append_op(&path, &resize).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "minpower-oplog 1 41 a1c33883\n\
+             {\"op\":\"set_fc\",\"fc\":\"0x41b27a3980000000\"}\n\
+             minpower-oplog 1 56 c69351d1\n\
+             {\"op\":\"resize\",\"gate\":\"n1\",\"width\":\"0x4004000000000000\"}\n"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 }

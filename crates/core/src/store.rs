@@ -1,17 +1,22 @@
 //! `minpower-store` — the durable persistence layer every on-disk state
-//! file (optimizer checkpoints, service job records) is routed through.
+//! file (search probe journals, annealing snapshots, service job
+//! records, session op logs) is routed through.
 //!
 //! The resilience built in PRs 3 and 4 (checkpoint/resume, kill-and-
 //! restart recovery) is only as strong as the bytes under it. This
 //! module makes those bytes crash-safe:
 //!
-//! * **Integrity framing** — every record is wrapped in a CRC32
+//! * **Integrity framing** — every snapshot record is wrapped in a CRC32
 //!   envelope: a single ASCII header line
 //!   `minpower-store <version> <length> <crc32-hex>` followed by the
 //!   payload. A torn write, a truncation, or a flipped bit is detected
 //!   on the next read instead of being parsed into silently wrong
 //!   state. Unframed (legacy) files pass through for back-compat; their
 //!   only integrity check is downstream parsing.
+//! * **Framed journals** — [`FramedJournal`] is the append-only form:
+//!   one CRC-framed record per entry, read back as the longest valid
+//!   prefix. [`append_durable`] appends a batch of records with one
+//!   write and one `fdatasync`, so each record is written once.
 //! * **Atomic, durable writes** — [`write_durable`] writes a sibling
 //!   temp file, fsyncs it, rotates the previous record to a `.1`
 //!   generation, renames the temp into place, and fsyncs the parent
@@ -22,17 +27,17 @@
 //!   retried up to [`MAX_ATTEMPTS`] times with a fixed backoff
 //!   schedule; the retry count is reported so telemetry can track
 //!   flaky storage.
-//! * **Generations** — keeping the previous record (`<file>.1`) means a
-//!   corrupt newest generation degrades to a slightly older resume
-//!   point instead of a lost run; both engines' resumes are
-//!   deterministic, so an older checkpoint replays to the identical
-//!   final result.
+//! * **Generations** — keeping the previous snapshot (`<file>.1`) means
+//!   a corrupt newest generation degrades to a slightly older resume
+//!   point instead of a lost run. A journal's valid prefix plays the
+//!   same role for search runs.
 //! * **Recovery audit** — [`audit`] scans a state directory at startup,
 //!   verifies every record, deletes leftover temp files, promotes
-//!   intact `.1` generations over corrupt or missing primaries, and
-//!   moves anything unrecoverable into `state-dir/quarantine/` next to
-//!   a `.reason` file — the service starts degraded-but-running instead
-//!   of aborting on the first bad file.
+//!   intact `.1` generations over corrupt or missing primaries, cuts
+//!   each probe journal back to its valid prefix, and moves anything
+//!   unrecoverable (and every cut tail) into `state-dir/quarantine/`
+//!   next to a `.reason` file — the service starts degraded-but-running
+//!   instead of aborting on the first bad file.
 //! * **Degraded mode** — [`StoreHealth`] is a shared latch flipped by
 //!   persistent write failure (e.g. disk full). A service holding it
 //!   answers `503 + Retry-After` for new work while in-flight jobs
@@ -42,14 +47,15 @@
 //! Five deterministic fault sites (see `minpower_engine::faults`)
 //! exercise every one of these paths: `io.write.torn`,
 //! `io.write.short`, `io.fsync.fail`, `io.disk.full`, and
-//! `checkpoint.corrupt`. Each site is queried with its own monotone
-//! call index, so `Trigger::OnIndices(vec![0])` means "the first
-//! durable write fails once and the retry succeeds" while
-//! `Trigger::EveryNth(1)` means "storage is persistently broken".
+//! `checkpoint.corrupt`. Snapshot writes and journal appends share
+//! them. Each site is queried with its own monotone call index, so
+//! `Trigger::OnIndices(vec![0])` means "the first durable write fails
+//! once and the retry succeeds" while `Trigger::EveryNth(1)` means
+//! "storage is persistently broken".
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -177,34 +183,60 @@ fn io_err(path: &Path, e: impl fmt::Display) -> StoreError {
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // 4-bit table: 16 entries, no 1 KiB static, still ~8x faster than
-    // bit-at-a-time. State files are small; this is not a hot path.
-    const TABLE: [u32; 16] = {
-        let mut t = [0u32; 16];
-        let mut i = 0;
-        while i < 16 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 4 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    };
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xF) as usize] ^ (crc >> 4);
-        crc = TABLE[((crc ^ (u32::from(b) >> 4)) & 0xF) as usize] ^ (crc >> 4);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
+
+/// Slicing-by-8 tables (8 KiB, built at compile time): `crc32` folds
+/// eight bytes per step, since probe journals CRC every record they
+/// write. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][i]` advances `CRC_TABLES[k - 1][i]` by one zero byte.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 // ------------------------------------------------------------- framing
 
@@ -288,17 +320,209 @@ pub fn decode<'a>(path: &Path, bytes: &'a [u8]) -> Result<Decoded<'a>, StoreErro
     })
 }
 
+// ------------------------------------------------------ framed journals
+
+/// An append-only file of CRC-framed records. Each record is one ASCII
+/// header line `<magic> <version> <len> <crc32-hex>\n`, then `len`
+/// payload bytes, then `\n`. A reader keeps the longest valid prefix: a
+/// torn or corrupt record ends the scan, and everything before it is
+/// intact. The session op log and the search probe journal are both
+/// framed journals; they differ only in magic and version.
+#[derive(Debug, Clone, Copy)]
+pub struct FramedJournal {
+    magic: &'static str,
+    version: u32,
+}
+
+/// The longest valid prefix of a framed journal, as [`FramedJournal::scan`]
+/// found it.
+#[derive(Debug, Clone, Default)]
+pub struct Prefix<'a> {
+    /// Each valid record's payload with the byte offset just past the
+    /// record, in file order.
+    pub records: Vec<(&'a [u8], usize)>,
+    /// Bytes the valid records span; everything after is a torn or
+    /// corrupt tail.
+    pub valid_len: usize,
+}
+
+/// Longest header line a reader will look for: magic, version, length
+/// and CRC never come near it, and the bound keeps a scan of garbage
+/// from searching the whole file for a newline.
+const MAX_HEADER_LINE: usize = 96;
+
+impl FramedJournal {
+    /// A journal whose records open with `magic` and `version`.
+    pub const fn new(magic: &'static str, version: u32) -> Self {
+        FramedJournal { magic, version }
+    }
+
+    /// Appends the framed record for `payload` to `out`.
+    pub fn frame_into(&self, out: &mut Vec<u8>, payload: &[u8]) {
+        let header = format!(
+            "{} {} {} {:08x}\n",
+            self.magic,
+            self.version,
+            payload.len(),
+            crc32(payload)
+        );
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(payload);
+        out.push(b'\n');
+    }
+
+    /// The longest valid record prefix of `bytes`. A record is valid when
+    /// its header line parses with this journal's magic and version and
+    /// its payload is complete and matches the CRC. The trailing `\n` is
+    /// optional, so a record cut just before it still counts.
+    pub fn scan<'a>(&self, bytes: &'a [u8]) -> Prefix<'a> {
+        let mut prefix = Prefix::default();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let window = &bytes[pos..bytes.len().min(pos + MAX_HEADER_LINE)];
+            let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+                break;
+            };
+            let Some((len, crc)) = self.parse_header(&window[..nl]) else {
+                break;
+            };
+            let start = pos + nl + 1;
+            let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
+                break;
+            };
+            if crc32(payload) != crc {
+                break;
+            }
+            pos = start + len;
+            if bytes.get(pos) == Some(&b'\n') {
+                pos += 1;
+            }
+            prefix.records.push((payload, pos));
+            prefix.valid_len = pos;
+        }
+        prefix
+    }
+
+    fn parse_header(&self, line: &[u8]) -> Option<(usize, u32)> {
+        let mut it = std::str::from_utf8(line).ok()?.split(' ');
+        let magic = it.next()?;
+        let version = it.next()?.parse::<u32>().ok()?;
+        let len = it.next()?.parse::<usize>().ok()?;
+        let crc = u32::from_str_radix(it.next()?, 16).ok()?;
+        if magic != self.magic || version != self.version || it.next().is_some() {
+            return None;
+        }
+        Some((len, crc))
+    }
+
+    /// Appends already-framed `records` to `path` (creating it) with one
+    /// write and one `fdatasync`.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error.
+    pub fn append(path: &Path, records: &[u8]) -> std::io::Result<()> {
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        file.write_all(records)?;
+        file.sync_data()
+    }
+}
+
+/// Appends framed `records` to the journal at `path` durably: one write
+/// and one `fdatasync`. With `create`, any old file is replaced and the
+/// parent directory is fsynced too, so the new entry survives power
+/// loss. A failed attempt cuts the file back to its previous length and
+/// is retried like [`write_durable`]. Shares `write_durable`'s fault
+/// sites: `checkpoint.corrupt` flips a bit and `io.write.torn` drops
+/// the second half of the batch, both while reporting success.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] once the retry budget is exhausted.
+pub fn append_durable(
+    path: &Path,
+    records: &[u8],
+    create: bool,
+) -> Result<WriteReport, StoreError> {
+    let mut corrupted;
+    let mut body = records;
+    if !records.is_empty() && fire("checkpoint.corrupt", &CORRUPT_SEQ) {
+        corrupted = records.to_vec();
+        corrupted[records.len() / 2] ^= 0x10;
+        body = &corrupted;
+    }
+    if fire("io.write.torn", &TORN_SEQ) {
+        // Just past the middle: a batch of equal-size records split in
+        // half would end on a record boundary and tear nothing.
+        body = &body[..(body.len() / 2 + 1).min(body.len())];
+    }
+    retrying(body.len(), || append_once(path, body, create))
+}
+
+fn append_once(path: &Path, body: &[u8], create: bool) -> Result<(), StoreError> {
+    if fire("io.disk.full", &FULL_SEQ) {
+        return Err(io_err(path, "no space left on device (injected)"));
+    }
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(create)
+        .open(path)
+        .map_err(|e| io_err(path, e))?;
+    let start = file
+        .seek(std::io::SeekFrom::End(0))
+        .map_err(|e| io_err(path, e))?;
+    let result = (|| {
+        if fire("io.write.short", &SHORT_SEQ) {
+            return Err(io_err(path, "short write (injected)"));
+        }
+        file.write_all(body).map_err(|e| io_err(path, e))?;
+        if fire("io.fsync.fail", &FSYNC_SEQ) {
+            return Err(io_err(path, "fsync failed (injected)"));
+        }
+        file.sync_data().map_err(|e| io_err(path, e))
+    })();
+    if result.is_err() {
+        let _ = file.set_len(start);
+    } else if create {
+        sync_parent(path);
+    }
+    result
+}
+
+/// Cuts the file at `path` to its first `len` bytes and fsyncs it (a
+/// journal's torn or corrupt tail, before anything is appended after
+/// the valid prefix).
+///
+/// # Errors
+///
+/// [`StoreError::Io`] when the file cannot be opened or cut.
+pub fn truncate(path: &Path, len: u64) -> Result<(), StoreError> {
+    let file = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .map_err(|e| io_err(path, e))?;
+    file.set_len(len).map_err(|e| io_err(path, e))?;
+    file.sync_all().map_err(|e| io_err(path, e))
+}
+
 // ------------------------------------------------------------- writing
 
-/// What a completed [`write_durable`] had to do to land.
+/// What a completed [`write_durable`] or [`append_durable`] had to do to
+/// land.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteReport {
     /// Transient failures absorbed before the write succeeded.
     pub retries: u64,
+    /// Bytes the successful attempt wrote (envelope included).
+    pub bytes: u64,
 }
 
-/// The previous-generation sibling of `path` (`job-3.ckpt` →
-/// `job-3.ckpt.1`).
+/// The previous-generation sibling of `path` (`job-3.json` →
+/// `job-3.json.1`).
 pub fn previous_generation(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -308,8 +532,8 @@ pub fn previous_generation(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// The temp sibling a write stages through (`job-3.ckpt` →
-/// `job-3.ckpt.tmp`).
+/// The temp sibling a write stages through (`job-3.json` →
+/// `job-3.json.tmp`).
 fn temp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -370,21 +594,45 @@ pub fn write_durable(path: &Path, payload: &[u8]) -> Result<WriteReport, StoreEr
         body.truncate(header_len + payload.len() / 2);
     }
 
+    retrying(body.len(), || write_once(path, &body))
+}
+
+/// Runs `attempt` (a write of `bytes` bytes) up to [`MAX_ATTEMPTS`]
+/// times on the fixed backoff schedule, counting the failures it
+/// absorbed.
+fn retrying(
+    bytes: usize,
+    mut attempt: impl FnMut() -> Result<(), StoreError>,
+) -> Result<WriteReport, StoreError> {
     let mut retries = 0u64;
-    for attempt in 0..MAX_ATTEMPTS {
-        match write_once(path, &body) {
-            Ok(()) => return Ok(WriteReport { retries }),
-            Err(e) if attempt + 1 < MAX_ATTEMPTS => {
-                let _ = e;
-                retries += 1;
-                std::thread::sleep(Duration::from_millis(
-                    BACKOFF_MS[(attempt as usize).min(BACKOFF_MS.len() - 1)],
-                ));
+    loop {
+        match attempt() {
+            Ok(()) => {
+                return Ok(WriteReport {
+                    retries,
+                    bytes: bytes as u64,
+                })
             }
-            Err(e) => return Err(e),
+            Err(e) if retries + 1 >= u64::from(MAX_ATTEMPTS) => return Err(e),
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(
+                    BACKOFF_MS[(retries as usize).min(BACKOFF_MS.len() - 1)],
+                ));
+                retries += 1;
+            }
         }
     }
-    unreachable!("the loop returns on its last attempt");
+}
+
+/// Fsyncs `path`'s parent directory, so renames and new entries in it
+/// survive power loss too. Best-effort on filesystems that refuse
+/// directory handles.
+fn sync_parent(path: &Path) {
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = fs::File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
 }
 
 fn write_once(path: &Path, body: &[u8]) -> Result<(), StoreError> {
@@ -409,14 +657,7 @@ fn write_once(path: &Path, body: &[u8]) -> Result<(), StoreError> {
             fs::rename(path, previous_generation(path)).map_err(|e| io_err(path, e))?;
         }
         fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-        // The renames live in the parent directory's entries; fsync it
-        // so they survive power loss too. Best-effort on filesystems
-        // that refuse directory handles.
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
+        sync_parent(path);
         Ok(())
     })();
     if result.is_err() {
@@ -480,26 +721,57 @@ pub fn read_with_fallback(path: &Path) -> Result<Loaded, StoreError> {
 ///
 /// [`StoreError::Io`] when the move itself fails.
 pub fn quarantine(state_dir: &Path, path: &Path, reason: &str) -> Result<PathBuf, StoreError> {
+    let dest = quarantine_slot(state_dir, &file_name(path))?;
+    fs::rename(path, &dest).map_err(|e| io_err(path, e))?;
+    write_reason(&dest, reason);
+    Ok(dest)
+}
+
+/// Preserves `bytes` cut from `path` (a journal's bad tail) as
+/// `state_dir/quarantine/<name>.tail`, next to a `.reason` file.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] when the copy cannot be written.
+pub fn quarantine_bytes(
+    state_dir: &Path,
+    path: &Path,
+    bytes: &[u8],
+    reason: &str,
+) -> Result<PathBuf, StoreError> {
+    let dest = quarantine_slot(state_dir, &format!("{}.tail", file_name(path)))?;
+    fs::write(&dest, bytes).map_err(|e| io_err(&dest, e))?;
+    write_reason(&dest, reason);
+    Ok(dest)
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "unnamed".to_string())
+}
+
+/// A free path for `name` inside `state_dir/quarantine/` (numbered
+/// suffixes keep earlier quarantines of the same name).
+fn quarantine_slot(state_dir: &Path, name: &str) -> Result<PathBuf, StoreError> {
     let qdir = state_dir.join("quarantine");
     fs::create_dir_all(&qdir).map_err(|e| io_err(&qdir, e))?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unnamed".to_string());
-    let mut dest = qdir.join(&name);
+    let mut dest = qdir.join(name);
     let mut n = 1;
     while dest.exists() {
         dest = qdir.join(format!("{name}.{n}"));
         n += 1;
     }
-    fs::rename(path, &dest).map_err(|e| io_err(path, e))?;
+    Ok(dest)
+}
+
+fn write_reason(dest: &Path, reason: &str) {
     let mut reason_name = dest
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_default();
     reason_name.push(".reason");
     let _ = fs::write(dest.with_file_name(reason_name), format!("{reason}\n"));
-    Ok(dest)
 }
 
 // -------------------------------------------------------------- audit
@@ -542,12 +814,20 @@ fn verify_record(path: &Path) -> Result<(), String> {
     payload_parses(&payload)
 }
 
-/// Scans `state_dir` and makes it safe to load from: deletes `.tmp`
-/// staging debris, verifies every `*.json` / `*.ckpt` record (CRC frame
-/// and JSON well-formedness), promotes an intact `.1` generation over a
-/// corrupt or missing primary, and quarantines whatever cannot be
-/// recovered. Never panics and never aborts the caller — a state
-/// directory full of garbage yields an empty-but-running service.
+/// Scans `state_dir` and makes it safe to load from:
+///
+/// * deletes `.tmp` staging debris;
+/// * verifies every `*.json` record (CRC frame and JSON
+///   well-formedness), promotes an intact `.1` generation over a corrupt
+///   or missing primary, and quarantines whatever cannot be recovered;
+/// * cuts every `*.journal` probe journal back to its longest valid
+///   prefix, keeping the cut tail in `quarantine/`, and quarantines a
+///   journal whose header record is invalid;
+/// * quarantines retired v1 search checkpoints (`*.ckpt`, `*.ckpt.1`),
+///   so their jobs rerun from scratch.
+///
+/// Never panics and never aborts the caller — a state directory full of
+/// garbage yields an empty-but-running service.
 pub fn audit(state_dir: &Path) -> AuditReport {
     let mut report = AuditReport::default();
     let Ok(entries) = fs::read_dir(state_dir) else {
@@ -555,6 +835,8 @@ pub fn audit(state_dir: &Path) -> AuditReport {
     };
     let mut primaries = Vec::new();
     let mut generations = Vec::new();
+    let mut journals = Vec::new();
+    let mut retired = Vec::new();
     for entry in entries.flatten() {
         let path = entry.path();
         if !path.is_file() {
@@ -565,10 +847,14 @@ pub fn audit(state_dir: &Path) -> AuditReport {
             if fs::remove_file(&path).is_ok() {
                 report.removed_temps += 1;
             }
-        } else if name.ends_with(".json.1") || name.ends_with(".ckpt.1") {
+        } else if name.ends_with(".json.1") {
             generations.push(path);
-        } else if name.ends_with(".json") || name.ends_with(".ckpt") {
+        } else if name.ends_with(".json") {
             primaries.push(path);
+        } else if name.ends_with(".journal") {
+            journals.push(path);
+        } else if name.ends_with(".ckpt") || name.ends_with(".ckpt.1") {
+            retired.push(path);
         }
     }
 
@@ -622,6 +908,44 @@ pub fn audit(state_dir: &Path) -> AuditReport {
         } else {
             move_aside(&mut report, &prev, "orphaned generation, corrupt");
         }
+    }
+    for path in journals {
+        report.checked += 1;
+        let Ok(bytes) = fs::read(&path) else { continue };
+        match crate::checkpoint::ProbeJournal::parse(&bytes) {
+            Err(why) => move_aside(
+                &mut report,
+                &path,
+                &format!("invalid journal header: {why}"),
+            ),
+            Ok(journal) if journal.valid_len < bytes.len() => {
+                let reason = format!(
+                    "torn or corrupt journal tail: bytes {}..{} failed verification \
+                     and were cut; the job resumes from the {} valid probes before them",
+                    journal.valid_len,
+                    bytes.len(),
+                    journal.probes.len()
+                );
+                if let Ok(dest) =
+                    quarantine_bytes(state_dir, &path, &bytes[journal.valid_len..], &reason)
+                {
+                    report.quarantined.push(Quarantined { path: dest, reason });
+                }
+                // A failed cut is harmless: a resume cuts the same tail
+                // before it appends.
+                let _ = truncate(&path, journal.valid_len as u64);
+            }
+            Ok(_) => {}
+        }
+    }
+    for path in retired {
+        report.checked += 1;
+        move_aside(
+            &mut report,
+            &path,
+            "retired v1 search checkpoint (format minpower-checkpoint); \
+             search runs now journal to .journal files, so the job reruns from scratch",
+        );
     }
     report
 }
@@ -722,6 +1046,28 @@ mod tests {
         // IEEE CRC32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every length and alignment agrees with the bit-at-a-time
+        // definition.
+        let bitwise = |bytes: &[u8]| {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        0xEDB8_8320 ^ (crc >> 1)
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bitwise(&data[start..end]));
+            }
+        }
     }
 
     #[test]
@@ -794,6 +1140,60 @@ mod tests {
     }
 
     #[test]
+    fn framed_journal_scan_keeps_the_longest_valid_prefix() {
+        let log = FramedJournal::new("t-log", 3);
+        let mut bytes = Vec::new();
+        for payload in [&b"one"[..], b"", b"three\nwith newline"] {
+            log.frame_into(&mut bytes, payload);
+        }
+        let full = log.scan(&bytes);
+        let payloads: Vec<&[u8]> = full.records.iter().map(|r| r.0).collect();
+        assert_eq!(payloads, [&b"one"[..], b"", b"three\nwith newline"]);
+        assert_eq!(full.valid_len, bytes.len());
+        assert_eq!(full.records[2].1, bytes.len());
+        // The final newline is optional; one byte less tears the record.
+        assert_eq!(log.scan(&bytes[..bytes.len() - 1]).records.len(), 3);
+        let torn = log.scan(&bytes[..bytes.len() - 2]);
+        assert_eq!((torn.records.len(), torn.valid_len), (2, full.records[1].1));
+        // Another magic or version reads as nothing.
+        assert!(FramedJournal::new("t-log", 4)
+            .scan(&bytes)
+            .records
+            .is_empty());
+        assert!(FramedJournal::new("u-log", 3)
+            .scan(&bytes)
+            .records
+            .is_empty());
+    }
+
+    #[test]
+    fn append_durable_creates_then_appends() {
+        let dir = scratch("append");
+        let path = dir.join("run.journal");
+        let log = FramedJournal::new("t-log", 1);
+        let mut first = Vec::new();
+        log.frame_into(&mut first, b"a");
+        let report = append_durable(&path, &first, true).unwrap();
+        assert_eq!(
+            report,
+            WriteReport {
+                retries: 0,
+                bytes: first.len() as u64
+            }
+        );
+        let mut second = Vec::new();
+        log.frame_into(&mut second, b"b");
+        append_durable(&path, &second, false).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(log.scan(&bytes).records.len(), 2);
+        // `create` starts over.
+        append_durable(&path, &second, true).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), second);
+        truncate(&path, 3).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), &second[..3]);
+    }
+
+    #[test]
     fn write_read_round_trips_and_keeps_a_generation() {
         let dir = scratch("wrrt");
         let path = dir.join("rec.json");
@@ -835,17 +1235,17 @@ mod tests {
         // Intact record: untouched.
         write_durable(&dir.join("job-1.json"), b"{\"ok\":1}").unwrap();
         // Corrupt primary with an intact generation: recovered.
-        let two = dir.join("job-2.ckpt");
+        let two = dir.join("job-2.json");
         write_durable(&two, b"{\"gen\":1}").unwrap();
         write_durable(&two, b"{\"gen\":2}").unwrap();
         fs::write(&two, b"garbage that is not json").unwrap();
         // Corrupt primary, no generation: quarantined.
         fs::write(dir.join("job-3.json"), &frame(b"{\"x\":1}")[..10]).unwrap();
         // Orphaned intact generation (crash between rotate and rename).
-        write_durable(&dir.join("job-4.ckpt"), b"{\"orphan\":1}").unwrap();
+        write_durable(&dir.join("job-4.json"), b"{\"orphan\":1}").unwrap();
         fs::rename(
-            dir.join("job-4.ckpt"),
-            previous_generation(&dir.join("job-4.ckpt")),
+            dir.join("job-4.json"),
+            previous_generation(&dir.join("job-4.json")),
         )
         .unwrap();
         // Staging debris.
@@ -859,7 +1259,7 @@ mod tests {
         );
         assert_eq!(read_verified(&two).unwrap(), b"{\"gen\":1}");
         assert_eq!(
-            read_verified(&dir.join("job-4.ckpt")).unwrap(),
+            read_verified(&dir.join("job-4.json")).unwrap(),
             b"{\"orphan\":1}"
         );
         assert_eq!(report.recovered.len(), 2, "{report:?}");

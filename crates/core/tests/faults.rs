@@ -9,7 +9,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use minpower_core::runctl::TripReason;
-use minpower_core::{yield_mc, EvalContext, OptimizeError, Optimizer, Problem, RunControl};
+use minpower_core::{
+    yield_mc, CheckpointSpec, EvalContext, OptimizeError, Optimizer, ProbeJournal, Problem,
+    RunControl,
+};
 use minpower_device::Technology;
 use minpower_engine::faults::{self, Trigger};
 use minpower_models::CircuitModel;
@@ -125,4 +128,83 @@ fn injected_worker_panic_surfaces_as_typed_error_with_siblings_drained() {
     let clean = yield_mc::timing_yield_ctl(&ctx, &p, &design, 0.05, 50, 7, &RunControl::new())
         .expect("pool recovers after a contained panic");
     assert_eq!(clean.samples, 50);
+}
+
+/// Damages the second probe-journal batch through `site` (the append
+/// still reports success, and every later batch lands behind the
+/// damage), then resumes the completed run from its journal twice. The
+/// first resume cuts the journal back to the records before the damage
+/// and appends what it recomputes; the second replays every probe from
+/// the journal without appending. Both match an uninterrupted run bit
+/// for bit.
+fn journal_damage_drill(site: &str) {
+    let p = problem();
+    let full = Optimizer::new(&p)
+        .with_engine(Arc::new(EvalContext::new(1, 1 << 16)))
+        .run()
+        .unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "minpower-faults-{}-{}.journal",
+        std::process::id(),
+        site.replace('.', "-")
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut spec = CheckpointSpec::new(&path);
+    spec.every = 4;
+
+    minpower_core::store::reset_fault_indices();
+    faults::arm(site, Trigger::OnIndices(vec![1]));
+    let damaged = Optimizer::new(&p)
+        .with_engine(Arc::new(EvalContext::new(1, 1 << 16)))
+        .with_checkpoint(spec.clone())
+        .run();
+    let fired = faults::fired_count(site);
+    faults::disarm_all();
+    assert_eq!(fired, 1, "{site} never fired");
+    assert_eq!(damaged.unwrap().design, full.design);
+    let written = std::fs::read(&path).unwrap();
+    let kept = ProbeJournal::parse(&written).unwrap();
+    assert!(
+        kept.valid_len < written.len(),
+        "{site}: damage went unnoticed"
+    );
+
+    for pass in 0..2 {
+        let ctx = Arc::new(EvalContext::new(1, 1 << 16));
+        let before = std::fs::metadata(&path).unwrap().len();
+        let resumed = Optimizer::new(&p)
+            .with_engine(ctx.clone())
+            .with_checkpoint(spec.clone())
+            .resume_from(&path)
+            .run()
+            .unwrap();
+        assert_eq!(resumed.design, full.design, "{site} pass {pass}");
+        assert_eq!(resumed.energy, full.energy, "{site} pass {pass}");
+        assert_eq!(resumed.evaluations, full.evaluations, "{site} pass {pass}");
+        let snap = ctx.snapshot();
+        if pass == 0 {
+            assert!(
+                snap.cache_misses > 0 && snap.checkpoint_bytes > 0,
+                "{snap:?}"
+            );
+        } else {
+            assert_eq!((snap.cache_misses, snap.checkpoint_bytes), (0, 0), "{site}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn journal_torn_append_is_cut_on_resume() {
+    let _guard = serial();
+    faults::disarm_all();
+    journal_damage_drill("io.write.torn");
+}
+
+#[test]
+fn journal_corrupt_append_is_cut_on_resume() {
+    let _guard = serial();
+    faults::disarm_all();
+    journal_damage_drill("checkpoint.corrupt");
 }

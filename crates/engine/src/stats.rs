@@ -62,8 +62,11 @@ pub struct EngineStats {
     /// Injected faults that were caught and neutralized (non-zero only
     /// under the `faults` feature in fault-injection tests).
     pub faults_injected: AtomicU64,
-    /// Checkpoint snapshots written to disk.
+    /// Checkpoint writes that reached disk (journal batches or
+    /// snapshots).
     pub checkpoints_written: AtomicU64,
+    /// Bytes those checkpoint writes put on disk.
+    pub checkpoint_bytes: AtomicU64,
     /// Worker panics contained by the pool and surfaced as typed errors
     /// instead of aborting the run.
     pub panics_recovered: AtomicU64,
@@ -141,9 +144,10 @@ impl EngineStats {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one checkpoint snapshot written to disk.
-    pub fn count_checkpoint(&self) {
+    /// Counts one checkpoint write of `bytes` bytes that reached disk.
+    pub fn count_checkpoint(&self, bytes: u64) {
         self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+        self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Counts one worker panic contained and surfaced as a typed error.
@@ -216,6 +220,7 @@ impl EngineStats {
             deadline_trips: self.deadline_trips.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
+            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
             panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
             store_writes: self.store_writes.load(Ordering::Relaxed),
             store_retries: self.store_retries.load(Ordering::Relaxed),
@@ -256,8 +261,10 @@ pub struct StatsSnapshot {
     pub deadline_trips: u64,
     /// Injected faults caught and neutralized.
     pub faults_injected: u64,
-    /// Checkpoint snapshots written to disk.
+    /// Checkpoint writes that reached disk.
     pub checkpoints_written: u64,
+    /// Bytes those checkpoint writes put on disk.
+    pub checkpoint_bytes: u64,
     /// Worker panics contained and surfaced as typed errors.
     pub panics_recovered: u64,
     /// Durable-store writes that reached disk.
@@ -295,6 +302,7 @@ impl StatsSnapshot {
         self.deadline_trips += other.deadline_trips;
         self.faults_injected += other.faults_injected;
         self.checkpoints_written += other.checkpoints_written;
+        self.checkpoint_bytes += other.checkpoint_bytes;
         self.panics_recovered += other.panics_recovered;
         self.store_writes += other.store_writes;
         self.store_retries += other.store_retries;
@@ -372,10 +380,11 @@ impl StatsSnapshot {
             > 0
         {
             out.push_str(&format!(
-                "  run control         : {} deadline/cancel trips, {} faults caught, {} checkpoints written, {} panics recovered\n",
+                "  run control         : {} deadline/cancel trips, {} faults caught, {} checkpoints written ({} bytes), {} panics recovered\n",
                 self.deadline_trips,
                 self.faults_injected,
                 self.checkpoints_written,
+                self.checkpoint_bytes,
                 self.panics_recovered
             ));
         }
@@ -472,18 +481,19 @@ mod tests {
         stats.count_deadline_trip();
         stats.count_fault_injected();
         stats.count_fault_injected();
-        stats.count_checkpoint();
+        stats.count_checkpoint(4096);
         stats.count_panic_recovered();
         let snap = stats.snapshot();
         assert_eq!(snap.deadline_trips, 1);
         assert_eq!(snap.faults_injected, 2);
         assert_eq!(snap.checkpoints_written, 1);
+        assert_eq!(snap.checkpoint_bytes, 4096);
         assert_eq!(snap.panics_recovered, 1);
         let text = snap.render();
         assert!(
             text.contains(
                 "run control         : 1 deadline/cancel trips, 2 faults caught, \
-                 1 checkpoints written, 1 panics recovered"
+                 1 checkpoints written (4096 bytes), 1 panics recovered"
             ),
             "{text}"
         );
@@ -501,6 +511,8 @@ mod tests {
         b.count_miss();
         b.count_fallback();
         b.count_deadline_trip();
+        a.count_checkpoint(100);
+        b.count_checkpoint(23);
         b.add_phase_nanos(Phase::Search, 50);
         b.add_phase_nanos(Phase::Suite, 7);
         let mut total = a.snapshot();
@@ -511,6 +523,10 @@ mod tests {
         assert_eq!(total.incremental_gates, 4);
         assert_eq!(total.sta_fallbacks, 1);
         assert_eq!(total.deadline_trips, 1);
+        assert_eq!(
+            (total.checkpoints_written, total.checkpoint_bytes),
+            (2, 123)
+        );
         assert_eq!(total.phase_nanos[phase_index(Phase::Search)], 150);
         assert_eq!(total.phase_nanos[phase_index(Phase::Suite)], 7);
     }

@@ -45,6 +45,7 @@ fn random_snapshot(rng: &mut Rng) -> StatsSnapshot {
         deadline_trips: rng.counter(),
         faults_injected: rng.counter(),
         checkpoints_written: rng.counter(),
+        checkpoint_bytes: rng.counter(),
         panics_recovered: rng.counter(),
         store_writes: rng.counter(),
         store_retries: rng.counter(),

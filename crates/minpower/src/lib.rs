@@ -57,8 +57,8 @@ pub use minpower_wiring as wiring;
 
 pub use minpower_activity::{Activities, InputActivity};
 pub use minpower_core::{
-    Checkpoint, CheckpointSpec, EvalContext, OptimizationResult, OptimizeError, Optimizer, Problem,
-    Progress, RunControl, SearchOptions, TripReason,
+    AnnealCheckpoint, CheckpointSpec, EvalContext, OptimizationResult, OptimizeError, Optimizer,
+    ProbeJournal, Problem, Progress, RunControl, SearchOptions, TripReason,
 };
 pub use minpower_device::Technology;
 pub use minpower_models::{CircuitModel, Design, EnergyBreakdown};

@@ -15,7 +15,7 @@
 //!   `.1` fallback generation). A job file stays `pending` until
 //!   the run reaches a *terminal* state, so a crashed or killed server
 //!   finds every unfinished job on disk and resumes it from its
-//!   checkpoint.
+//!   probe journal (`job-<id>.journal`).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -375,6 +375,10 @@ pub struct Job {
     pub polls: AtomicU64,
     /// Latest elapsed time reported by the observer, milliseconds.
     pub elapsed_ms: AtomicU64,
+    /// Probe-journal batches this server run has written for the job.
+    pub checkpoints_written: AtomicU64,
+    /// Bytes those batches put on disk.
+    pub checkpoint_bytes: AtomicU64,
     state: Mutex<JobState>,
 }
 
@@ -388,6 +392,8 @@ impl Job {
             user_cancelled: AtomicBool::new(false),
             polls: AtomicU64::new(0),
             elapsed_ms: AtomicU64::new(0),
+            checkpoints_written: AtomicU64::new(0),
+            checkpoint_bytes: AtomicU64::new(0),
             state: Mutex::new(JobState::Queued),
         }
     }
@@ -439,6 +445,14 @@ impl Job {
                 "elapsed_secs".to_string(),
                 Value::Float(self.elapsed_ms.load(Ordering::Relaxed) as f64 / 1e3),
             ),
+            (
+                "checkpoints_written".to_string(),
+                Value::Int(self.checkpoints_written.load(Ordering::Relaxed)),
+            ),
+            (
+                "checkpoint_bytes".to_string(),
+                Value::Int(self.checkpoint_bytes.load(Ordering::Relaxed)),
+            ),
         ];
         match state {
             JobState::Done(result) => fields.push(("result".to_string(), result)),
@@ -468,9 +482,9 @@ pub fn job_file(state_dir: &Path, id: u64) -> PathBuf {
     state_dir.join(format!("job-{id}.json"))
 }
 
-/// Path of the job's optimizer checkpoint.
+/// Path of the job's probe journal (its optimizer checkpoint).
 pub fn checkpoint_file(state_dir: &Path, id: u64) -> PathBuf {
-    state_dir.join(format!("job-{id}.ckpt"))
+    state_dir.join(format!("job-{id}.journal"))
 }
 
 /// Writes the job record crash-safely through `minpower_core::store`

@@ -40,13 +40,15 @@
 //!
 //! Every admitted job is persisted to the state directory before it is
 //! queued, and checkpointed while it runs. All on-disk state goes
-//! through [`minpower_core::store`]: CRC32-framed records, fsynced
-//! temp-file + atomic-rename writes, and a `.1` fallback generation per
-//! record. A server killed mid-job (or drained by SIGINT) leaves those
-//! records `pending`; the next server on the same state directory runs
-//! a recovery audit (quarantining anything corrupt into
-//! `state-dir/quarantine/`), re-admits them, and resumes each from its
-//! checkpoint, finishing bit-identically to an uninterrupted run — the
+//! through [`minpower_core::store`]: job records are CRC32-framed,
+//! written through fsynced temp-file + atomic-rename writes with a `.1`
+//! fallback generation, and each running job appends its probes to a
+//! CRC-framed `job-<id>.journal`. A server killed mid-job (or drained
+//! by SIGINT) leaves those records `pending`; the next server on the
+//! same state directory runs a recovery audit (cutting a journal's torn
+//! tail and quarantining anything corrupt into `state-dir/quarantine/`),
+//! re-admits them, and resumes each from its journal's valid prefix,
+//! finishing bit-identically to an uninterrupted run — the
 //! same guarantee the CLI's `--resume` makes, delivered as a service.
 //! When durable writes fail persistently (disk full), the service
 //! latches a degraded read-only mode — `503 + Retry-After` for new

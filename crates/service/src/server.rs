@@ -532,6 +532,17 @@ fn worker_loop(state: &Arc<ServiceState>) {
     }
 }
 
+/// Copies the job context's checkpoint counters onto the job, for
+/// `GET /jobs/{id}`.
+fn note_checkpoints(job: &Job, stats: &EngineStats) {
+    for (to, from) in [
+        (&job.checkpoints_written, &stats.checkpoints_written),
+        (&job.checkpoint_bytes, &stats.checkpoint_bytes),
+    ] {
+        to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
 /// Executes one job end to end: build the problem, attach run control
 /// (+observer, deadline, checkpoint, resume), run, classify the outcome.
 fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
@@ -558,6 +569,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
         .insert(job.id, ctx.clone());
 
     let observer_job = job.clone();
+    let observer_ctx = ctx.clone();
     let mut control = job.control.clone().with_progress(
         4,
         Arc::new(move |polls, elapsed| {
@@ -565,6 +577,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
             observer_job
                 .elapsed_ms
                 .store((elapsed * 1e3) as u64, Ordering::Relaxed);
+            note_checkpoints(&observer_job, observer_ctx.stats());
         }),
     );
     let mut limit = job.spec.time_limit;
@@ -582,7 +595,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
     let ckpt = job::checkpoint_file(&state.config.state_dir, job.id);
     let mut optimizer = Optimizer::new(&problem)
         .with_options(options)
-        .with_engine(ctx)
+        .with_engine(ctx.clone())
         .with_run_control(control)
         .with_checkpoint({
             // Best-effort: a checkpoint-write failure must not kill the
@@ -599,6 +612,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
     }
 
     let outcome = optimizer.run();
+    note_checkpoints(job, ctx.stats());
     let killed = state.killed.load(Ordering::Relaxed);
     let finish = |snapshot: StatsSnapshot| {
         state
@@ -620,7 +634,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
             let doc = minpower_core::report::result_to_json(&problem, &result, job.spec.top_gates);
             if !killed {
                 let _ = state.persist_job(job, "done", Some(&doc), None);
-                store::remove_generations(&ckpt);
+                let _ = std::fs::remove_file(&ckpt);
                 finish(snapshot);
             }
             job.set_state(JobState::Done(doc));
@@ -640,7 +654,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
             if job.user_cancelled.load(Ordering::Relaxed) {
                 if !killed {
                     let _ = state.persist_job(job, "cancelled", partial.as_ref(), Some(&message));
-                    store::remove_generations(&ckpt);
+                    let _ = std::fs::remove_file(&ckpt);
                     finish(snapshot);
                 }
                 job.set_state(JobState::Cancelled(partial));
@@ -657,7 +671,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
                 // Deadline: terminal, carries the feasible best-so-far.
                 if !killed {
                     let _ = state.persist_job(job, "interrupted", partial.as_ref(), Some(&message));
-                    store::remove_generations(&ckpt);
+                    let _ = std::fs::remove_file(&ckpt);
                     finish(snapshot);
                 }
                 job.set_state(JobState::Interrupted {
@@ -671,7 +685,7 @@ fn run_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
             let message = e.to_string();
             if !killed {
                 let _ = state.persist_job(job, "failed", None, Some(&message));
-                store::remove_generations(&ckpt);
+                let _ = std::fs::remove_file(&ckpt);
                 finish(snapshot);
             }
             job.set_state(JobState::Failed(message));
@@ -1551,6 +1565,10 @@ fn metrics_endpoint(state: &Arc<ServiceState>) -> Response {
                 (
                     "checkpoints_written".to_string(),
                     Value::Int(engine.checkpoints_written),
+                ),
+                (
+                    "checkpoint_bytes".to_string(),
+                    Value::Int(engine.checkpoint_bytes),
                 ),
                 (
                     "panics_recovered".to_string(),

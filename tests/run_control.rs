@@ -136,7 +136,7 @@ fn cancel_token_shared_across_clones() {
 fn search_checkpoint_resume_is_bit_identical() {
     let n = ripple(4);
     let p = problem(&n, 100.0e6);
-    let path = scratch("search.ckpt");
+    let path = scratch("search.journal");
 
     // Reference: one uninterrupted run on its own engine.
     let full = Optimizer::new(&p)
@@ -172,11 +172,135 @@ fn search_checkpoint_resume_is_bit_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
+fn assert_same_result(a: &minpower::OptimizationResult, b: &minpower::OptimizationResult) {
+    assert_eq!(a.design, b.design);
+    assert_eq!(a.energy.static_.to_bits(), b.energy.static_.to_bits());
+    assert_eq!(a.energy.dynamic.to_bits(), b.energy.dynamic.to_bits());
+    assert_eq!(a.critical_delay.to_bits(), b.critical_delay.to_bits());
+    assert_eq!(a.evaluations, b.evaluations);
+}
+
+fn file_len(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).expect("journal exists").len()
+}
+
+/// The probe journal writes each probe once: the bytes a checkpointed
+/// run writes stay within 5% of the final file (a whole-journal rewrite
+/// per checkpoint would write many times the file), the file holds one
+/// record per distinct probe, and resuming the *completed* run appends
+/// nothing, since preloaded probes are never written again.
+#[test]
+fn journal_writes_each_probe_once() {
+    let netlist = minpower::circuits::circuit("s298").expect("suite circuit");
+    let model = CircuitModel::with_uniform_activity(&netlist, Technology::dac97(), 0.5, 0.1);
+    let p = Problem::new(model, 300.0e6);
+    let path = scratch("once.journal");
+    let _ = std::fs::remove_file(&path);
+
+    let engine = fresh_engine();
+    let full = Optimizer::new(&p)
+        .with_engine(engine.clone())
+        .with_checkpoint(CheckpointSpec::new(&path))
+        .run()
+        .unwrap();
+    let stats = engine.snapshot();
+    let len = file_len(&path);
+    assert!(stats.checkpoints_written >= 2, "{stats:?}");
+    assert!(
+        stats.checkpoint_bytes as f64 <= 1.05 * len as f64,
+        "wrote {} bytes for a {len}-byte journal",
+        stats.checkpoint_bytes
+    );
+    // One record per distinct probe: no probe is appended twice.
+    let journal = minpower::ProbeJournal::load(&path).unwrap();
+    assert_eq!(journal.probes.len() as u64, stats.cache_misses);
+
+    let engine = fresh_engine();
+    let resumed = Optimizer::new(&p)
+        .with_engine(engine.clone())
+        .with_checkpoint(CheckpointSpec::new(&path))
+        .resume_from(&path)
+        .run()
+        .unwrap();
+    assert_same_result(&full, &resumed);
+    assert_eq!(
+        file_len(&path),
+        len,
+        "a completed resume re-appended probes"
+    );
+    assert_eq!(engine.snapshot().checkpoint_bytes, 0);
+    assert_eq!(engine.snapshot().cache_misses, 0, "every probe replays");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Damage an interrupted run's journal two ways — cut mid-record, and a
+/// flipped bit in a later record — then resume each copy to completion
+/// and resume it *again*. Both finish bit-identically to an
+/// uninterrupted run, and the second resume replays every probe from
+/// the journal without appending: the first resume cut the bad tail
+/// before it appended, so nothing it wrote sits behind the damage.
+#[test]
+fn torn_journal_tail_is_cut_before_resume_appends() {
+    let n = ripple(4);
+    let p = problem(&n, 100.0e6);
+    let full = Optimizer::new(&p)
+        .with_engine(fresh_engine())
+        .run()
+        .unwrap();
+
+    let path = scratch("torn.journal");
+    let _ = std::fs::remove_file(&path);
+    let mut spec = CheckpointSpec::new(&path);
+    spec.every = 4;
+    let err = Optimizer::new(&p)
+        .with_engine(fresh_engine())
+        .with_run_control(RunControl::new().with_check_budget(40))
+        .with_checkpoint(spec.clone())
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, OptimizeError::Interrupted { .. }), "{err:?}");
+    let pristine = std::fs::read(&path).unwrap();
+    let journal = minpower::ProbeJournal::parse(&pristine).unwrap();
+    assert!(journal.probes.len() >= 8, "{} probes", journal.probes.len());
+
+    let cut = scratch("torn-cut.journal");
+    std::fs::write(&cut, &pristine[..pristine.len() - 100]).unwrap();
+    let flipped = scratch("torn-flip.journal");
+    let mut bytes = pristine.clone();
+    let i = bytes.len() * 3 / 4;
+    bytes[i] ^= 0x08;
+    std::fs::write(&flipped, &bytes).unwrap();
+
+    for damaged in [&cut, &flipped] {
+        let kept = minpower::ProbeJournal::load(damaged).unwrap();
+        assert!(kept.probes.len() < journal.probes.len(), "{damaged:?}");
+        let mut spec = spec.clone();
+        spec.path = damaged.clone();
+        for pass in 0..2 {
+            let engine = fresh_engine();
+            let before = file_len(damaged);
+            let resumed = Optimizer::new(&p)
+                .with_engine(engine.clone())
+                .with_checkpoint(spec.clone())
+                .resume_from(damaged)
+                .run()
+                .unwrap();
+            assert_same_result(&full, &resumed);
+            if pass == 1 {
+                assert_eq!(engine.snapshot().cache_misses, 0, "{damaged:?}");
+                assert_eq!(file_len(damaged), before, "{damaged:?}");
+            }
+        }
+        let _ = std::fs::remove_file(damaged);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn search_resume_rejects_mismatched_problem() {
     let n = ripple(3);
     let p = problem(&n, 150.0e6);
-    let path = scratch("mismatch.ckpt");
+    let path = scratch("mismatch.journal");
     let err = Optimizer::new(&p)
         .with_engine(fresh_engine())
         .with_run_control(RunControl::new().with_check_budget(10))

@@ -348,7 +348,7 @@ fn killed_server_resumes_checkpointed_job_to_the_same_design() {
     let id = submit(first.addr, spec);
 
     // Wait until at least one checkpoint hit the disk, then pull the plug.
-    let ckpt = state_dir.join(format!("job-{id}.ckpt"));
+    let ckpt = state_dir.join(format!("job-{id}.journal"));
     let deadline = Instant::now() + Duration::from_secs(120);
     while !ckpt.exists() {
         assert!(Instant::now() < deadline, "no checkpoint appeared");

@@ -4,13 +4,17 @@
 //! Two halves, like `service_http.rs`:
 //!
 //! * **without** `faults` — real on-disk corruption (truncations, bit
-//!   flips, garbage) against real servers: every corrupt record is
+//!   flips, garbage) against real servers: every corrupt job record is
 //!   either recovered from its previous generation or quarantined with
-//!   a reason file — never a panic, never a silently wrong resume;
+//!   a reason file, and every damaged probe journal is cut back to its
+//!   valid prefix (the cut tail kept in quarantine) or, with a broken
+//!   header, quarantined whole — never a panic, never a silently wrong
+//!   resume;
 //! * **with** `faults` — the injected-IO drills (`io.write.torn`,
 //!   `io.write.short`, `io.fsync.fail`, `io.disk.full`,
 //!   `checkpoint.corrupt`), including the disk-full degraded-mode
-//!   state machine end to end over HTTP. Run these single-threaded
+//!   state machine end to end over HTTP and torn/corrupt journal
+//!   appends under a running job. Run these single-threaded
 //!   (`--test-threads=1`): the fault registry is process-global.
 
 use std::io::{Read, Write};
@@ -19,10 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use minpower::opt::checkpoint::Checkpoint;
+use minpower::models::{Design, EnergyBreakdown};
+use minpower::opt::checkpoint::{ProbeJournal, ProbeRecord};
 use minpower::opt::json::{self, Value};
 use minpower::opt::store;
-use minpower::opt::OptimizeError;
 use minpower_serve::{Config, DrainOutcome, Server, ServerHandle};
 
 // ---------------------------------------------------------------- helpers
@@ -199,84 +203,187 @@ fn quarantine_entries(state_dir: &Path) -> Vec<String> {
 
 // ------------------------------------------------- corruption corpus
 
-/// Every way a checkpoint file can be damaged yields either a correct
-/// recovery (previous generation) or a typed error — never a panic and
-/// never a wrong snapshot.
+fn journal_path(state_dir: &Path, id: u64) -> PathBuf {
+    state_dir.join(format!("job-{id}.journal"))
+}
+
+/// Polls the journal at `path` until it holds at least `probes` valid
+/// probes.
+fn wait_for_probes(path: &Path, probes: usize) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Ok(j) = ProbeJournal::load(path) {
+            if j.probes.len() >= probes {
+                return;
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "journal never reached {probes} probes"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A four-probe journal and the probes it holds.
+fn sample_journal() -> (Vec<u8>, Vec<ProbeRecord>) {
+    let probes: Vec<ProbeRecord> = (0..4)
+        .map(|k| {
+            let vdd = 1.0 + 0.1 * k as f64;
+            let vts = if k % 2 == 0 {
+                vec![0.3; 3]
+            } else {
+                vec![0.25, 0.3, 0.35]
+            };
+            ProbeRecord {
+                vdd,
+                design: Design {
+                    vdd,
+                    vt: vts.clone(),
+                    width: vec![1.0, 2.0 + k as f64, 3.5],
+                },
+                vts,
+                energy: EnergyBreakdown::new(1.0e-15 * k as f64, 2.0e-12),
+                critical_delay: 3.0e-9,
+                feasible: k != 2,
+            }
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    ProbeJournal::encode_header(&mut bytes, 7, &[1.5e-10, 2.5e-10, 0.0]);
+    for p in &probes {
+        ProbeJournal::encode_probe(&mut bytes, p);
+    }
+    (bytes, probes)
+}
+
+/// Every way a probe journal can be damaged yields, after the startup
+/// audit, either a valid prefix of the real probes (the bad tail cut
+/// off and kept in quarantine) or a quarantined file with a reason —
+/// never a panic and never an impostor record. A leftover v1 `.ckpt`
+/// snapshot is quarantined too.
 #[test]
 fn corrupt_checkpoint_corpus_is_recovered_or_rejected() {
     let dir = scratch_dir("ckpt-corpus");
-    let path = dir.join("job-1.ckpt");
-
-    // Two generations: `older` in job-1.ckpt.1, `newer` in job-1.ckpt.
-    let older = Checkpoint::Search {
-        salt: 7,
-        evaluations: 8,
-        budgets: vec![1.5e-10, 2.5e-10],
-        probes: vec![],
+    let path = dir.join("job-1.journal");
+    let (pristine, probes) = sample_journal();
+    let header_len = {
+        let mut h = Vec::new();
+        ProbeJournal::encode_header(&mut h, 7, &[1.5e-10, 2.5e-10, 0.0]);
+        h.len()
     };
-    let newer = Checkpoint::Search {
-        salt: 7,
-        evaluations: 16,
-        budgets: vec![1.5e-10, 2.5e-10],
-        probes: vec![],
-    };
-    older.save(&path).expect("save older");
-    newer.save(&path).expect("save newer");
-    let pristine = std::fs::read(&path).expect("read pristine");
 
-    let mut corpus: Vec<(String, Vec<u8>)> = vec![
-        ("empty file".into(), Vec::new()),
+    let mut bad_header = pristine.clone();
+    bad_header[header_len / 2] ^= 0x04;
+    let mut corpus: Vec<(String, Vec<u8>, bool)> = vec![
+        ("empty file".into(), Vec::new(), false),
         (
             "pure garbage".into(),
-            b"\x00\xffnot a checkpoint at all".to_vec(),
+            b"\x00\xffnot a journal at all".to_vec(),
+            false,
         ),
-        (
-            "unframed junk JSON".into(),
-            b"{\"format\":\"something-else\"}".to_vec(),
-        ),
+        ("bad header record".into(), bad_header, false),
     ];
-    for frac in [1, 3, 5, 7] {
+    for frac in 1..8 {
         let cut = pristine.len() * frac / 8;
         corpus.push((
             format!("truncated to {cut} bytes"),
             pristine[..cut].to_vec(),
+            cut >= header_len,
         ));
     }
-    for i in [pristine.len() / 3, pristine.len() / 2, pristine.len() - 2] {
+    for i in [
+        header_len + 3,
+        pristine.len() / 3,
+        pristine.len() / 2,
+        pristine.len() - 2,
+    ] {
         let mut bytes = pristine.clone();
         bytes[i] ^= 0x01;
-        corpus.push((format!("bit flip at {i}"), bytes));
+        corpus.push((format!("bit flip at {i}"), bytes, true));
     }
 
-    for (what, bytes) in corpus {
+    for (what, bytes, keeps_prefix) in corpus {
         std::fs::write(&path, &bytes).expect("plant corruption");
-        match Checkpoint::load(&path) {
-            // Recovery must produce one of the two real snapshots —
-            // anything else would be a silently wrong resume.
-            Ok(loaded) => assert!(
-                loaded == older || loaded == newer,
-                "{what}: recovered an impostor snapshot"
-            ),
-            Err(OptimizeError::Checkpoint { message }) => {
-                assert!(!message.is_empty(), "{what}: empty error");
-            }
-            Err(other) => panic!("{what}: unexpected error class {other}"),
-        }
-        // The fallback generation is intact, so corruption that the
-        // frame *can* detect must recover to the older snapshot.
-        let framed_damage = bytes.len() != pristine.len()
-            || bytes
-                .iter()
-                .zip(&pristine)
-                .any(|(a, b)| a != b && bytes.starts_with(store::MAGIC.as_bytes()));
-        if framed_damage && bytes.starts_with(store::MAGIC.as_bytes()) {
+        let report = store::audit(&dir);
+        if path.exists() {
+            // What survives is a prefix of the real probes, cut to
+            // exactly the bytes that verified.
+            let j = ProbeJournal::load(&path)
+                .unwrap_or_else(|e| panic!("{what}: kept an unreadable journal: {e}"));
+            assert_eq!(j.salt, 7, "{what}");
+            assert_eq!(j.probes, probes[..j.probes.len()], "{what}: impostor probe");
             assert_eq!(
-                Checkpoint::load(&path).expect("fallback"),
-                older,
-                "{what}: fallback should yield the previous generation"
+                std::fs::metadata(&path).unwrap().len() as usize,
+                j.valid_len,
+                "{what}: bad tail not cut"
             );
+            if j.valid_len < bytes.len() {
+                let cut = &report.quarantined[0].path;
+                assert_eq!(std::fs::read(cut).unwrap(), bytes[j.valid_len..], "{what}");
+            }
+        } else {
+            assert!(!keeps_prefix, "{what}: a valid prefix was quarantined");
+            assert_eq!(report.quarantined.len(), 1, "{what}: {report:?}");
+            let q = &report.quarantined[0];
+            assert!(!q.reason.is_empty(), "{what}: empty reason");
+            assert!(q.path.exists(), "{what}: quarantined bytes lost");
         }
+        let _ = std::fs::remove_file(&path);
     }
+
+    // A v1 whole-journal snapshot left over from an older build.
+    let v1 = dir.join("job-2.ckpt");
+    store::write_durable(
+        &v1,
+        br#"{"format":"minpower-checkpoint","version":1,"engine":"search","salt":7}"#,
+    )
+    .unwrap();
+    let report = store::audit(&dir);
+    assert!(!v1.exists(), "v1 checkpoint left in place");
+    let q = report
+        .quarantined
+        .iter()
+        .find(|q| q.path.file_name().unwrap() == "job-2.ckpt")
+        .unwrap_or_else(|| panic!("v1 checkpoint not quarantined: {report:?}"));
+    assert!(q.reason.contains("v1"), "{}", q.reason);
+}
+
+/// A leftover v1 `job-<id>.ckpt` from an older build is quarantined at
+/// startup, and its pending job reruns from scratch to the same bits.
+#[test]
+fn leftover_v1_checkpoint_is_quarantined_and_the_job_reruns() {
+    let spec = r#"{"circuit":"s27","steps":8}"#;
+    let expected = direct_run_document(spec);
+    let state_dir = scratch_dir("v1-ckpt");
+    let job = minpower_serve::job::Job::new(
+        1,
+        minpower_serve::job::JobSpec::from_json(&json::parse(spec).unwrap()).unwrap(),
+    );
+    minpower_serve::job::persist(&state_dir, &job, "pending", None, None).expect("record");
+    let v1 = state_dir.join("job-1.ckpt");
+    store::write_durable(
+        &v1,
+        br#"{"format":"minpower-checkpoint","version":1,"engine":"search","salt":7,"probes":[]}"#,
+    )
+    .unwrap();
+
+    let server = start(Config {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        state_dir: state_dir.clone(),
+        ..Config::default()
+    });
+    let names = quarantine_entries(&state_dir);
+    assert!(
+        names.contains(&"job-1.ckpt".to_string())
+            && names.contains(&"job-1.ckpt.reason".to_string()),
+        "v1 checkpoint not quarantined: {names:?}"
+    );
+    let done = wait_for(server.addr, 1, "rerun", terminal);
+    assert_eq!(status_of(&done), "done", "{}", done.render());
+    assert_eq!(field(&done, "result").render(), expected);
+    assert_eq!(server.shutdown(), DrainOutcome::Clean);
 }
 
 /// The startup audit quarantines a corrupt job record (reason file and
@@ -342,10 +449,11 @@ fn startup_audit_quarantines_corrupt_job_records() {
     assert_eq!(second.shutdown(), DrainOutcome::Clean);
 }
 
-/// Kill mid-run, corrupt the *newest* checkpoint, restart: the audit
-/// quarantines the bad snapshot, promotes the previous generation, and
-/// the resumed job still finishes bit-identically (the search replay is
-/// deterministic from any valid snapshot).
+/// Kill mid-run, corrupt a *later* record of the probe journal,
+/// restart: the audit cuts the journal back to the records before the
+/// damage (keeping the cut tail in quarantine with a reason), and the
+/// resumed job still finishes bit-identically (the search replay is
+/// deterministic from any valid prefix).
 #[test]
 fn resume_from_previous_generation_after_newest_checkpoint_corrupts() {
     let spec = r#"{"circuit":"s713","steps":16,"top_gates":2}"#;
@@ -361,16 +469,14 @@ fn resume_from_previous_generation_after_newest_checkpoint_corrupts() {
     });
     let id = submit(first.addr, spec);
 
-    // Wait for TWO checkpoint generations, then pull the plug.
-    let ckpt = state_dir.join(format!("job-{id}.ckpt"));
-    wait_for_file(
-        &store::previous_generation(&ckpt),
-        "second checkpoint generation",
-    );
+    // Wait for at least two appended batches, then pull the plug.
+    let journal = journal_path(&state_dir, id);
+    wait_for_probes(&journal, 8);
     assert_eq!(first.kill(), DrainOutcome::JobsInterrupted);
 
-    // Bit-flip the newest snapshot: the CRC frame must catch it.
-    flip_bit_in_payload(&ckpt);
+    // Bit-flip a later record: the CRC frame must catch it.
+    let before = ProbeJournal::load(&journal).expect("intact journal");
+    flip_bit_in_payload(&journal);
 
     let second = start(Config {
         addr: "127.0.0.1:0".into(),
@@ -381,15 +487,24 @@ fn resume_from_previous_generation_after_newest_checkpoint_corrupts() {
     });
     let names = quarantine_entries(&state_dir);
     assert!(
-        names.contains(&format!("job-{id}.ckpt")),
-        "corrupt checkpoint not quarantined: {names:?}"
+        names.contains(&format!("job-{id}.journal.tail"))
+            && names.contains(&format!("job-{id}.journal.tail.reason")),
+        "corrupt journal tail not quarantined: {names:?}"
     );
     let done = wait_for(second.addr, id, "resumed completion", terminal);
     assert_eq!(status_of(&done), "done", "{}", done.render());
     assert_eq!(
         field(&done, "result").render(),
         expected,
-        "resume from the previous generation diverged"
+        "resume from the journal's valid prefix diverged"
+    );
+    assert!(
+        field(&done, "checkpoints_written")
+            .as_u64("checkpoints_written")
+            .unwrap()
+            >= 1,
+        "the resumed run appended nothing after the {} kept probes",
+        before.probes.len()
     );
     // Degraded mode never latched: quarantine + recovery is normal
     // operation, not a write failure.
@@ -484,14 +599,14 @@ fn chaos_soak_kill_corrupt_restart() {
             ..Config::default()
         });
         let id = submit(first.addr, spec);
-        let ckpt = state_dir.join(format!("job-{id}.ckpt"));
+        let ckpt = journal_path(&state_dir, id);
         let record = state_dir.join(format!("job-{id}.json"));
         wait_for_file(&ckpt, "first checkpoint");
         assert_eq!(first.kill(), DrainOutcome::JobsInterrupted, "iter {iter}");
 
-        // Deterministic per-iteration damage. Damaging the *checkpoint*
-        // must not lose the job (the previous generation or a from-
-        // scratch rerun still lands on the identical design); damaging
+        // Deterministic per-iteration damage. Damaging the *journal*
+        // must not lose the job (its valid prefix or a from-scratch
+        // rerun still lands on the identical design); damaging
         // the *job record* — written only once so far, no fallback
         // generation yet — must quarantine it cleanly.
         let record_damaged = iter % 3 == 1;
@@ -609,33 +724,21 @@ mod fault_drills {
     #[test]
     fn silent_corruption_is_caught_by_the_crc_and_recovered() {
         let dir = scratch_dir("silent-corrupt");
-        let path = dir.join("rec.ckpt");
-        let good = Checkpoint::Search {
-            salt: 3,
-            evaluations: 4,
-            budgets: vec![1.0e-10],
-            probes: vec![],
-        };
-        good.save(&path).expect("clean save");
+        let path = dir.join("rec.json");
+        store::write_durable(&path, b"{\"v\":1}").expect("clean write");
 
         store::reset_fault_indices();
         faults::arm("checkpoint.corrupt", faults::Trigger::EveryNth(1));
-        let newer = Checkpoint::Search {
-            salt: 3,
-            evaluations: 8,
-            budgets: vec![1.0e-10],
-            probes: vec![],
-        };
-        newer
-            .save(&path)
-            .expect("corrupted write still reports success");
+        store::write_durable(&path, b"{\"v\":2}").expect("corrupted write still reports success");
         assert!(faults::fired_count("checkpoint.corrupt") >= 1);
         faults::disarm("checkpoint.corrupt");
 
         // Direct read: typed checksum error. Load: previous generation.
         let err = store::read_verified(&path).unwrap_err();
         assert_eq!(err.kind(), "checksum-mismatch", "{err}");
-        assert_eq!(Checkpoint::load(&path).expect("fallback"), good);
+        let loaded = store::read_with_fallback(&path).expect("fallback");
+        assert!(loaded.from_fallback);
+        assert_eq!(loaded.payload, b"{\"v\":1}");
     }
 
     /// A torn write (prefix persisted, success reported) is caught as a
@@ -656,6 +759,78 @@ mod fault_drills {
         let loaded = store::read_with_fallback(&path).expect("fallback");
         assert!(loaded.from_fallback);
         assert_eq!(loaded.payload, b"{\"v\":1}");
+    }
+
+    /// Damages the second probe-journal batch of a running job through
+    /// `site` (the write still reports success), kills the server once
+    /// later batches landed behind the damage, and restarts it: the
+    /// audit cuts the journal at the damage and keeps the cut bytes in
+    /// quarantine with a reason, and the job resumes to the bits of an
+    /// uninterrupted run with `/healthz` `ok`.
+    fn journal_damage_drill(site: &str, tag: &str) {
+        let spec = r#"{"circuit":"s713","steps":16,"top_gates":2}"#;
+        let expected = direct_run_document(spec);
+        let state_dir = scratch_dir(tag);
+        let config = Config {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            checkpoint_every: 4,
+            state_dir: state_dir.clone(),
+            ..Config::default()
+        };
+        let first = start(config.clone());
+        // Store write 0 is the job record, 1 the first journal batch, 2
+        // the second.
+        store::reset_fault_indices();
+        faults::arm(site, faults::Trigger::OnIndices(vec![2]));
+        let id = submit(first.addr, spec);
+        wait_for(first.addr, id, "three journal batches", |v| {
+            field(v, "checkpoints_written")
+                .as_u64("checkpoints_written")
+                .unwrap()
+                >= 3
+        });
+        assert_eq!(first.kill(), DrainOutcome::JobsInterrupted);
+        assert_eq!(faults::fired_count(site), 1, "{site} never fired");
+        faults::disarm(site);
+
+        let journal = journal_path(&state_dir, id);
+        let damaged_len = std::fs::metadata(&journal).unwrap().len();
+        let second = start(config);
+        let names = quarantine_entries(&state_dir);
+        assert!(
+            names.contains(&format!("job-{id}.journal.tail"))
+                && names.contains(&format!("job-{id}.journal.tail.reason")),
+            "{site}: damaged journal tail not quarantined: {names:?}"
+        );
+        let tail = std::fs::read(
+            state_dir
+                .join("quarantine")
+                .join(format!("job-{id}.journal.tail")),
+        )
+        .unwrap();
+        let kept = damaged_len as usize - tail.len();
+        assert!(kept > 0 && !tail.is_empty(), "{site}: kept {kept} bytes");
+        let done = wait_for(second.addr, id, "resumed completion", terminal);
+        assert_eq!(status_of(&done), "done", "{}", done.render());
+        assert_eq!(
+            field(&done, "result").render(),
+            expected,
+            "{site}: resume diverged"
+        );
+        let (_, _, body) = get(second.addr, "/healthz");
+        assert_eq!(status_of(&parse_body(&body)), "ok", "{body}");
+        assert_eq!(second.shutdown(), DrainOutcome::Clean);
+    }
+
+    #[test]
+    fn journal_silent_corruption_is_cut_and_the_job_resumes() {
+        journal_damage_drill("checkpoint.corrupt", "journal-corrupt");
+    }
+
+    #[test]
+    fn journal_torn_append_is_cut_and_the_job_resumes() {
+        journal_damage_drill("io.write.torn", "journal-torn");
     }
 
     /// Transient failures (one bad fsync, one short write) are absorbed

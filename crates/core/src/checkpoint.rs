@@ -203,26 +203,75 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     }
 }
 
-/// A little-endian cursor over one record payload.
-struct Cursor<'a>(&'a [u8]);
+/// Appends `v` as an LEB128 varint.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
 
-impl Cursor<'_> {
-    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+/// Appends `s` as its varint byte length, then its UTF-8 bytes.
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A little-endian cursor over one record payload (also the session
+/// checkpoint's). Every read yields `None` past the end.
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
         let (head, rest) = self.0.split_first_chunk::<N>()?;
         self.0 = rest;
         Some(*head)
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.take().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         self.take().map(u64::from_le_bytes)
     }
 
-    fn f64(&mut self) -> Option<f64> {
+    pub(crate) fn f64(&mut self) -> Option<f64> {
         self.take().map(f64::from_le_bytes)
+    }
+
+    /// The next `n` bytes.
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let head = self.0.get(..n)?;
+        self.0 = &self.0[n..];
+        Some(head)
+    }
+
+    /// An LEB128 varint, as [`put_varint`] writes it.
+    pub(crate) fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let [b] = self.take()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// A varint count of items that each take at least one more byte,
+    /// so a corrupt count cannot reserve more than the payload holds.
+    pub(crate) fn count(&mut self) -> Option<usize> {
+        let n = usize::try_from(self.varint()?).ok()?;
+        (n <= self.0.len()).then_some(n)
+    }
+
+    /// A string as [`put_str`] writes it.
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
+        let n = self.count()?;
+        std::str::from_utf8(self.bytes(n)?).ok()
     }
 
     fn f64s(&mut self) -> Option<Vec<f64>> {

@@ -32,6 +32,14 @@
 //!   the log over the creation parameters reproduces the live state
 //!   bit-for-bit, which is what makes kill-and-restart recovery and
 //!   the dense cross-check meaningful.
+//! - The **checkpoint**: [`SessionState::checkpoint`] encodes the whole
+//!   state in a binary format (v2, layout at [`CHECKPOINT_MAGIC`]) whose
+//!   structure section is encoded once per structural revision and
+//!   whose numeric state is raw `f64` bits;
+//!   [`SessionState::from_checkpoint`] rebuilds it bit-identically. The
+//!   JSON [`SessionState::snapshot`] document (v1) remains the
+//!   full-state read format and decodes through
+//!   [`SessionState::from_snapshot`].
 //!
 //! Checkpointing policy (how often to fold the log into a snapshot)
 //! and eviction live in the service layer; this module owns only the
@@ -43,11 +51,13 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use minpower_device::Technology;
 use minpower_models::{CircuitModel, Design, EnergyBreakdown};
 use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 
+use crate::checkpoint::{put_str, put_varint, Cursor};
 use crate::incremental::IncrementalEval;
 use crate::json::{self, Value};
 use crate::store::FramedJournal;
@@ -473,6 +483,10 @@ pub struct SessionState {
     default_width: f64,
     dirty: BTreeSet<String>,
     revision: u64,
+    /// The checkpoint's structure section, encoded on first use and
+    /// reset only by [`SessionState::rebuild_structural`]: every other
+    /// op leaves the netlist as it is.
+    structure: OnceLock<Vec<u8>>,
 }
 
 impl SessionState {
@@ -507,6 +521,7 @@ impl SessionState {
             default_width: params.width,
             dirty: BTreeSet::new(),
             revision: 0,
+            structure: OnceLock::new(),
         })
     }
 
@@ -915,6 +930,7 @@ impl SessionState {
             d.vt = vt;
             d.width = width;
         });
+        self.structure = OnceLock::new();
         Ok(())
     }
 
@@ -1017,22 +1033,25 @@ impl SessionState {
 
     /// Coarse estimate of this warm state's in-memory footprint, bytes.
     /// Counts the per-gate vectors (delays, arrivals, design, model
-    /// coefficients), the fanout adjacency, and the name strings — the
-    /// terms that scale with circuit size. Used by the service's
-    /// memory-pressure governor; accuracy to a small constant factor is
-    /// all the shedding thresholds need.
+    /// coefficients), the fanout adjacency, the name strings and the
+    /// cached checkpoint structure — the terms that scale with circuit
+    /// size. Used by the service's memory-pressure governor; accuracy to
+    /// a small constant factor is all the shedding thresholds need.
     pub fn approx_bytes(&self) -> u64 {
         let n = self.model.netlist();
         let gates = n.gate_count() as u64;
         let edges: u64 = n.gates().iter().map(|g| g.fanin().len() as u64).sum();
         let names: u64 = n.gates().iter().map(|g| g.name().len() as u64 + 48).sum();
         let dirty: u64 = self.dirty.iter().map(|s| s.len() as u64 + 64).sum();
-        gates * 176 + edges * 24 + names + dirty
+        let structure = self.structure.get().map_or(0, |s| s.len() as u64);
+        gates * 176 + edges * 24 + names + dirty + structure
     }
 
     /// Full-state snapshot in the hex-bits float encoding: rebuilding via
     /// [`SessionState::from_snapshot`] yields a bitwise-identical
-    /// state. This is what the service's periodic checkpoint persists.
+    /// state. This is the service's `?detail=gates` read format and
+    /// the format-v1 checkpoint payload; the service writes
+    /// [`SessionState::checkpoint`] instead.
     pub fn snapshot(&self) -> Value {
         let n = self.model.netlist();
         let gates: Vec<Value> = n
@@ -1143,22 +1162,264 @@ impl SessionState {
         };
         let vt = obj.req("vt")?.as_bits_f64_vec("vt")?;
         let width = obj.req("width")?.as_bits_f64_vec("width")?;
+        let dirty = obj
+            .req("dirty")?
+            .as_arr("dirty")?
+            .iter()
+            .map(|d| d.as_str("dirty name").map(str::to_string))
+            .collect::<Result<BTreeSet<_>, _>>()?;
+        let revision = obj.req("revision")?.as_u64("revision")?;
+        SessionState::restore(netlist, &params, vt, width, revision, dirty)
+    }
+
+    /// The state a persisted document describes: built over `netlist`,
+    /// with the design vectors installed and the delays, STA and ledger
+    /// recomputed densely — bit-identical to the live values by the
+    /// incremental contract. Every value must lie in its technology
+    /// range and every dirty name must be a logic gate: the invariants
+    /// `apply` keeps.
+    fn restore(
+        netlist: Netlist,
+        params: &SessionParams,
+        vt: Vec<f64>,
+        width: Vec<f64>,
+        revision: u64,
+        dirty: BTreeSet<String>,
+    ) -> Result<SessionState, SessionError> {
         if vt.len() != netlist.gate_count() || width.len() != netlist.gate_count() {
             return Err(SessionError::new(
                 "snapshot design vectors disagree with the gate count",
             ));
         }
-        let mut state = SessionState::new(netlist, &params)?;
+        let tech = Technology::dac97();
+        for (&v, &w) in vt.iter().zip(&width) {
+            check_range("vt", v, tech.vt_range)?;
+            check_range("width", w, tech.w_range)?;
+        }
+        if let Some(name) = dirty.iter().find(|d| {
+            netlist
+                .find(d)
+                .is_none_or(|id| netlist.gate(id).kind().is_input())
+        }) {
+            return Err(SessionError::new(format!(
+                "dirty gate {name:?} is not a logic gate"
+            )));
+        }
+        let mut state = SessionState::new(netlist, params)?;
         state.eval.rebuild(&state.model, |d| {
             d.vt = vt;
             d.width = width;
         });
-        state.revision = obj.req("revision")?.as_u64("revision")?;
-        for d in obj.req("dirty")?.as_arr("dirty")? {
-            state.dirty.insert(d.as_str("dirty name")?.to_string());
-        }
+        state.revision = revision;
+        state.dirty = dirty;
         Ok(state)
     }
+
+    /// Binary checkpoint (format v2) folding `ops_folded` op-log records:
+    /// the fixed header, the structure section (encoded once per
+    /// structural revision) and the numeric section — see
+    /// [`CHECKPOINT_MAGIC`] for the layout.
+    /// [`SessionState::from_checkpoint`] rebuilds a bit-identical state.
+    pub fn checkpoint(&self, ops_folded: u64) -> Vec<u8> {
+        let structure = self
+            .structure
+            .get_or_init(|| encode_structure(self.model.netlist()));
+        let design = self.design();
+        let n = design.vt.len();
+        let mut out =
+            Vec::with_capacity(CHECKPOINT_HEADER_LEN + structure.len() + 16 * n + n.div_ceil(8));
+        out.extend_from_slice(&CHECKPOINT_MAGIC);
+        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        out.extend_from_slice(&ops_folded.to_le_bytes());
+        out.extend_from_slice(&self.revision.to_le_bytes());
+        let scalars = [
+            self.fc(),
+            self.activity,
+            self.skew,
+            design.vdd,
+            self.default_vt,
+            self.default_width,
+        ];
+        for x in scalars {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(structure);
+        for x in design.vt.iter().chain(&design.width) {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&self.dirty_bitmap());
+        out
+    }
+
+    /// The dirty set as a bitmap over gate indices, bit `i % 8` of byte
+    /// `i / 8` for gate `i`.
+    fn dirty_bitmap(&self) -> Vec<u8> {
+        let n = self.model.netlist();
+        let mut bits = vec![0u8; n.gate_count().div_ceil(8)];
+        let mut set = |i: usize| bits[i / 8] |= 1 << (i % 8);
+        if self.dirty.len() == n.logic_gate_count() {
+            // Only logic gates are ever dirty, so this is all of them:
+            // skip the per-name lookups.
+            for (i, g) in n.gates().iter().enumerate() {
+                if !g.kind().is_input() {
+                    set(i);
+                }
+            }
+        } else {
+            for name in &self.dirty {
+                set(n
+                    .find(name)
+                    .expect("dirty gates are in the netlist")
+                    .index());
+            }
+        }
+        bits
+    }
+
+    /// Rebuilds a state from a [`SessionState::checkpoint`] payload,
+    /// returning it with the `ops_folded` it records. The netlist goes
+    /// through the same descriptor→builder helper as structural edits,
+    /// in index order.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError`] on a truncated or inconsistent payload, or a
+    /// different magic or version.
+    pub fn from_checkpoint(bytes: &[u8]) -> Result<(SessionState, u64), SessionError> {
+        let mut c = Cursor(bytes);
+        if c.take() != Some(CHECKPOINT_MAGIC) {
+            return Err(SessionError::new("not a session checkpoint"));
+        }
+        let version = need(c.u32())?;
+        if version != CHECKPOINT_VERSION {
+            return Err(SessionError::new(format!(
+                "unsupported checkpoint version {version}"
+            )));
+        }
+        let ops_folded = need(c.u64())?;
+        let revision = need(c.u64())?;
+        let mut scalar = || need(c.f64());
+        let params = SessionParams {
+            fc: scalar()?,
+            activity: scalar()?,
+            skew: scalar()?,
+            vdd: scalar()?,
+            vt: scalar()?,
+            width: scalar()?,
+        };
+        let netlist_name = need(c.str())?.to_string();
+        let count = need(c.count())?;
+        let mut gates: Vec<GateDesc> = Vec::with_capacity(count);
+        // A fanin or output index names a gate already read.
+        let name_at = |c: &mut Cursor, gates: &[GateDesc]| {
+            let i = usize::try_from(c.varint()?).ok()?;
+            gates.get(i).map(|g| g.0.clone())
+        };
+        for _ in 0..count {
+            let name = need(c.str())?.to_string();
+            let [code] = need(c.take())?;
+            let kind = *need(GATE_KINDS.get(usize::from(code)))?;
+            let fanin = (0..need(c.count())?)
+                .map(|_| need(name_at(&mut c, &gates)))
+                .collect::<Result<Vec<_>, _>>()?;
+            gates.push((name, kind, fanin));
+        }
+        let outputs = (0..need(c.count())?)
+            .map(|_| need(name_at(&mut c, &gates)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let flip_flops = need(c.varint().and_then(|v| usize::try_from(v).ok()))?;
+        let vt = need((0..count).map(|_| c.f64()).collect())?;
+        let width = need((0..count).map(|_| c.f64()).collect())?;
+        let bitmap = need(c.bytes(count.div_ceil(8)))?;
+        let bit = |i: usize| (bitmap[i / 8] >> (i % 8)) & 1 == 1;
+        if !c.0.is_empty() || (count..bitmap.len() * 8).any(bit) {
+            return Err(malformed());
+        }
+        let dirty = (0..count)
+            .filter(|&i| bit(i))
+            .map(|i| gates[i].0.clone())
+            .collect();
+        // Persisted in index order, which is topological.
+        let netlist = build_netlist(&netlist_name, &gates, &outputs, flip_flops)?;
+        let state = SessionState::restore(netlist, &params, vt, width, revision, dirty)?;
+        Ok((state, ops_folded))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binary checkpoint (format v2).
+// ---------------------------------------------------------------------------
+
+/// Magic opening a binary session checkpoint. The payload, all integers
+/// little-endian:
+///
+/// - **header** — this magic, [`CHECKPOINT_VERSION`] (`u32`),
+///   `ops_folded` and `revision` (`u64`), then `fc`, `activity`, `skew`,
+///   `vdd`, `default_vt`, `default_width` as raw `f64` bits;
+/// - **structure** — the netlist name, the gate count, each gate in
+///   index order as (name, kind code, fanin count, fanin indices), the
+///   output indices, and the flip-flop count. Counts and indices are
+///   LEB128 varints; a string is its byte length then its UTF-8 bytes;
+///   kind codes 0–8 are `INPUT`, `AND`, `OR`, `NAND`, `NOR`, `NOT`,
+///   `BUF`, `XOR`, `XNOR`;
+/// - **numeric** — `vt` then `width` as raw `f64` bits per gate, then
+///   the dirty set as a bitmap over gate indices (bit `i % 8` of byte
+///   `i / 8` for gate `i`).
+///
+/// The format carries no checksum of its own: the service writes it
+/// through `store::write_durable`, whose CRC envelope rejects a torn or
+/// bit-flipped file before the decoder sees it.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"minpsnap";
+
+/// Binary checkpoint format version. Version 1 was the JSON
+/// [`SessionState::snapshot`] document.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// Magic, version, `ops_folded`, revision and six `f64` scalars.
+const CHECKPOINT_HEADER_LEN: usize = 8 + 4 + 8 + 8 + 6 * 8;
+
+/// Gate kinds by checkpoint kind code.
+const GATE_KINDS: [GateKind; 9] = [
+    GateKind::Input,
+    GateKind::And,
+    GateKind::Or,
+    GateKind::Nand,
+    GateKind::Nor,
+    GateKind::Not,
+    GateKind::Buf,
+    GateKind::Xor,
+    GateKind::Xnor,
+];
+
+/// The checkpoint's structure section for `n`.
+fn encode_structure(n: &Netlist) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_str(&mut out, n.name());
+    put_varint(&mut out, n.gate_count() as u64);
+    for g in n.gates() {
+        put_str(&mut out, g.name());
+        let code = GATE_KINDS.iter().position(|&k| k == g.kind());
+        out.push(code.expect("every kind has a code") as u8);
+        put_varint(&mut out, g.fanin().len() as u64);
+        for f in g.fanin() {
+            put_varint(&mut out, f.index() as u64);
+        }
+    }
+    put_varint(&mut out, n.outputs().len() as u64);
+    for o in n.outputs() {
+        put_varint(&mut out, o.index() as u64);
+    }
+    put_varint(&mut out, n.flip_flop_count() as u64);
+    out
+}
+
+fn malformed() -> SessionError {
+    SessionError::new("malformed session checkpoint")
+}
+
+/// A checkpoint read that must succeed.
+fn need<T>(read: Option<T>) -> Result<T, SessionError> {
+    read.ok_or_else(malformed)
 }
 
 fn to_session_error(e: impl fmt::Display) -> SessionError {
@@ -1652,6 +1913,288 @@ mod tests {
             "rejected edits must not mutate"
         );
         assert_eq!(s.revision(), 0);
+    }
+
+    /// Decodes `s`'s checkpoint and asserts the result is `s`, bit for
+    /// bit: the same checkpoint bytes, JSON snapshot, delays, arrivals
+    /// and energy.
+    fn assert_checkpoint_round_trips(s: &SessionState, ops_folded: u64) {
+        let bytes = s.checkpoint(ops_folded);
+        let (restored, folded) = SessionState::from_checkpoint(&bytes).unwrap();
+        assert_eq!(folded, ops_folded);
+        assert_eq!(restored.checkpoint(ops_folded), bytes);
+        assert_eq!(restored.snapshot().render(), s.snapshot().render());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(restored.delays()), bits(s.delays()));
+        assert_eq!(bits(restored.arrivals()), bits(s.arrivals()));
+        assert_eq!(
+            restored.energy().total().to_bits(),
+            s.energy().total().to_bits()
+        );
+        restored.cross_check();
+    }
+
+    #[test]
+    fn checkpoint_round_trips_bitwise_across_op_classes() {
+        let mut s = SessionState::new(sample(), &params()).unwrap();
+        assert_checkpoint_round_trips(&s, 0); // empty dirty set
+        let ops = [
+            SessionOp::Resize {
+                gate: "n1".into(),
+                width: 3.25,
+            },
+            SessionOp::SetVt {
+                gate: "n4".into(),
+                vt: 0.5,
+            },
+            SessionOp::SetVdd { vdd: 2.2 },
+            SessionOp::Reoptimize { steps: 8 },
+            SessionOp::SetFc { fc: 280.0e6 },
+            SessionOp::Reoptimize { steps: 8 },
+            SessionOp::SetActivity { activity: 0.35 },
+            SessionOp::AddGate {
+                name: "x0".into(),
+                kind: GateKind::Or,
+                fanin: vec!["n1".into(), "n2".into()],
+            },
+            SessionOp::RemoveGate { gate: "x0".into() },
+            SessionOp::RewireFanin {
+                gate: "n4".into(),
+                fanin: vec!["n2".into(), "d".into()],
+            },
+            SessionOp::SwapGateKind {
+                gate: "n3".into(),
+                kind: GateKind::Nor,
+            },
+            SessionOp::Reoptimize { steps: 6 },
+        ];
+        let (mut empty, mut partial, mut full) = (1, 0, 0);
+        for (k, op) in ops.iter().enumerate() {
+            s.apply(op).unwrap();
+            match s.dirty().len() {
+                0 => empty += 1,
+                n if n == s.netlist().logic_gate_count() => full += 1,
+                _ => partial += 1,
+            }
+            assert_checkpoint_round_trips(&s, k as u64);
+        }
+        assert!(
+            empty >= 2 && partial >= 2 && full >= 2,
+            "{empty}/{partial}/{full}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_rejects_truncation_and_bit_flips() {
+        let mut s = SessionState::new(sample(), &params()).unwrap();
+        s.apply(&SessionOp::Resize {
+            gate: "n2".into(),
+            width: 4.75,
+        })
+        .unwrap();
+        let bytes = s.checkpoint(3);
+        for len in 0..bytes.len() {
+            assert!(
+                SessionState::from_checkpoint(&bytes[..len]).is_err(),
+                "prefix of {len} bytes accepted"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(SessionState::from_checkpoint(&longer).is_err());
+        // As persisted: a flipped payload bit fails the envelope's CRC,
+        // so it never reaches the decoder.
+        let path = Path::new("session.snap");
+        let mut framed = crate::store::frame(&bytes);
+        let payload_at = framed.len() - bytes.len();
+        let read = |file: &[u8]| {
+            let payload = crate::store::decode(path, file).map_err(to_session_error)?;
+            SessionState::from_checkpoint(payload.payload)
+        };
+        assert!(read(&framed).is_ok());
+        for bit in payload_at * 8..framed.len() * 8 {
+            framed[bit / 8] ^= 1 << (bit % 8);
+            assert!(read(&framed).is_err(), "payload bit {bit} flipped accepted");
+            framed[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Past a broken envelope the decoder still never panics.
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = SessionState::from_checkpoint(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_v2_layout() {
+        // Golden bytes of a small c17 state: existing `snap` files must
+        // keep decoding unchanged.
+        let mut s = SessionState::new(minpower_circuits::c17(), &params()).unwrap();
+        s.apply(&SessionOp::Resize {
+            gate: "16".into(),
+            width: 2.5,
+        })
+        .unwrap();
+        let hex: String = s.checkpoint(1).iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            // header: magic, version 2, ops_folded 1, revision 1
+            "6d696e70736e6170",
+            "02000000",
+            "0100000000000000",
+            "0100000000000000",
+            // fc, activity, skew, vdd, default_vt, default_width
+            "00000000a3e1b141",
+            "333333333333d33f",
+            "000000000000f03f",
+            "0000000000000440",
+            "cdccccccccccdc3f",
+            "0000000000000040",
+            // structure: name "c17", 11 gates as (name, kind, fanins)
+            "03633137",
+            "0b",
+            "01310000",       // 1 = INPUT
+            "01320000",       // 2
+            "01330000",       // 3
+            "01360000",       // 6
+            "01370000",       // 7
+            "02313003020002", // 10 = NAND(1, 3)
+            "02313103020203", // 11 = NAND(3, 6)
+            "02313603020106", // 16 = NAND(2, 11)
+            "02313903020604", // 19 = NAND(11, 7)
+            "02323203020507", // 22 = NAND(10, 16)
+            "02323303020708", // 23 = NAND(16, 19)
+            "02090a",         // outputs 22, 23
+            "00",             // no flip-flops
+            // numeric: vt per gate, width per gate (16 resized to 2.5)
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "cdccccccccccdc3f",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000440",
+            "0000000000000040",
+            "0000000000000040",
+            "0000000000000040",
+            // dirty bitmap: gate 16 (index 7)
+            "8000",
+        );
+        assert_eq!(hex, golden);
+    }
+
+    #[test]
+    fn structural_edit_then_checkpoint_decodes_to_the_new_netlist() {
+        let edits = [
+            SessionOp::AddGate {
+                name: "x0".into(),
+                kind: GateKind::Nand,
+                fanin: vec!["n3".into(), "n4".into()],
+            },
+            SessionOp::RemoveGate { gate: "x0".into() },
+            SessionOp::RewireFanin {
+                gate: "n4".into(),
+                fanin: vec!["n2".into(), "d".into()],
+            },
+            SessionOp::SwapGateKind {
+                gate: "n3".into(),
+                kind: GateKind::Or,
+            },
+        ];
+        let mut s = SessionState::new(sample(), &params()).unwrap();
+        for op in &edits {
+            s.checkpoint(0); // fill the structure cache with the old netlist
+            s.apply(op).unwrap();
+            let (restored, _) = SessionState::from_checkpoint(&s.checkpoint(0)).unwrap();
+            assert_eq!(
+                gate_descs(restored.netlist()),
+                gate_descs(s.netlist()),
+                "after {op:?}"
+            );
+            assert_eq!(restored.snapshot().render(), s.snapshot().render());
+        }
+    }
+
+    #[test]
+    fn structure_is_encoded_once_per_structural_revision() {
+        let mut s = SessionState::new(sample(), &params()).unwrap();
+        assert!(s.structure.get().is_none(), "encoded lazily");
+        s.checkpoint(0);
+        let encoded = s
+            .structure
+            .get()
+            .expect("encoded by the first checkpoint")
+            .as_ptr();
+        // Non-structural ops, a rejected structural edit, and repeated
+        // checkpoints all reuse the one encoding: a set cell cannot be
+        // re-initialized, only replaced.
+        for op in [
+            SessionOp::Resize {
+                gate: "n1".into(),
+                width: 3.0,
+            },
+            SessionOp::SetVt {
+                gate: "n2".into(),
+                vt: 0.5,
+            },
+            SessionOp::SetVdd { vdd: 2.2 },
+            SessionOp::SetFc { fc: 280.0e6 },
+            SessionOp::SetActivity { activity: 0.4 },
+            SessionOp::Reoptimize { steps: 4 },
+        ] {
+            s.apply(&op).unwrap();
+            s.checkpoint(0);
+            assert_eq!(
+                s.structure.get().map(|b| b.as_ptr()),
+                Some(encoded),
+                "{op:?}"
+            );
+        }
+        let cycle = SessionOp::RewireFanin {
+            gate: "n1".into(),
+            fanin: vec!["n3".into(), "b".into()],
+        };
+        assert!(s.apply(&cycle).is_err());
+        assert_eq!(s.structure.get().map(|b| b.as_ptr()), Some(encoded));
+        // Each structural op drops the encoding; the next checkpoint
+        // encodes the new netlist once.
+        for op in [
+            SessionOp::AddGate {
+                name: "x0".into(),
+                kind: GateKind::Nand,
+                fanin: vec!["n1".into(), "n2".into()],
+            },
+            SessionOp::SwapGateKind {
+                gate: "x0".into(),
+                kind: GateKind::Nor,
+            },
+            SessionOp::RewireFanin {
+                gate: "x0".into(),
+                fanin: vec!["n3".into(), "n4".into()],
+            },
+            SessionOp::RemoveGate { gate: "x0".into() },
+        ] {
+            s.apply(&op).unwrap();
+            assert!(s.structure.get().is_none(), "{op:?} must drop the encoding");
+            s.checkpoint(0);
+            assert_eq!(
+                s.structure.get().map(Vec::as_slice),
+                Some(encode_structure(s.netlist()).as_slice()),
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

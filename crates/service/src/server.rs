@@ -1310,16 +1310,17 @@ fn session_op(state: &Arc<ServiceState>, request: &Request, id: u64, peer_ip: &s
     }
 }
 
-/// `GET /sessions/{id}`: current-state summary; `?detail=gates` appends
-/// the full deterministic snapshot (the same document the checkpoint
-/// persists, hex-bits floats included).
+/// `GET /sessions/{id}`: current-state summary, with the op-log length
+/// and the on-disk snapshot bytes (`snap` plus `snap.1`); `?detail=gates`
+/// appends the full deterministic JSON snapshot (hex-bits floats, so
+/// string equality is bit equality).
 fn session_snapshot(state: &Arc<ServiceState>, request: &Request, id: u64) -> Response {
     let entry = match state.sessions.get(id) {
         Ok(entry) => entry,
         Err(e) => return (e.status, error_body(&e), Vec::new()),
     };
     let detail = request.query_param("detail") == Some("gates");
-    let result = state.sessions.with_state(&entry, |s, ops| {
+    let result = state.sessions.with_state(&entry, |s, disk| {
         let outcome = OpOutcome {
             revision: s.revision(),
             gates_touched: 0,
@@ -1332,7 +1333,8 @@ fn session_snapshot(state: &Arc<ServiceState>, request: &Request, id: u64) -> Re
         };
         let mut doc = outcome_json(id, &outcome, s.fc());
         if let Value::Obj(fields) = &mut doc {
-            fields.insert(1, ("ops".to_string(), Value::Int(ops)));
+            fields.insert(1, ("ops".to_string(), Value::Int(disk.ops_logged)));
+            fields.insert(2, ("snap_bytes".to_string(), Value::Int(disk.snap_bytes)));
             if detail {
                 fields.push(("state".to_string(), s.snapshot()));
             }
@@ -1667,6 +1669,10 @@ fn session_metrics_json(state: &Arc<ServiceState>) -> Value {
         (
             "checkpoints".to_string(),
             Value::Int(sm.checkpoints.load(Ordering::Relaxed)),
+        ),
+        (
+            "snapshot_bytes".to_string(),
+            Value::Int(sm.snapshot_bytes.load(Ordering::Relaxed)),
         ),
         (
             "oplog_truncated".to_string(),

@@ -15,7 +15,14 @@
 //!   ([`minpower_core::session::append_op`]);
 //! * `snap` — a periodic full snapshot folding the log
 //!   (`session_checkpoint_every` ops), so recovery replays a bounded
-//!   tail instead of the whole history.
+//!   tail instead of the whole history. The payload is a binary
+//!   checkpoint ([`SessionState::checkpoint`], format v2) inside the
+//!   `write_durable` CRC envelope, with the previous snapshot kept as
+//!   `snap.1`: the structure section is encoded once per structural
+//!   revision and the numeric state is written as raw `f64` bits, so a
+//!   periodic write costs little more than its fsyncs. A v1 payload
+//!   (the JSON [`SessionState::snapshot`] document) still recovers, and
+//!   the first warm-up rewrites it as v2.
 //!
 //! `DELETE /sessions/{id}` removes the whole directory, and the bytes
 //! it held are counted in the `sessions.reclaimed_bytes` metric.
@@ -67,7 +74,7 @@ use std::time::Instant;
 
 use minpower_core::json::{self, Value};
 use minpower_core::session::{
-    append_op, read_oplog, OpOutcome, SessionOp, SessionParams, SessionState,
+    append_op, read_oplog, OpOutcome, SessionOp, SessionParams, SessionState, CHECKPOINT_MAGIC,
 };
 use minpower_core::store;
 
@@ -224,8 +231,10 @@ pub struct SessionMetrics {
     pub replays: AtomicU64,
     /// Warm states dropped by the LRU cap or the idle-TTL sweep.
     pub evictions: AtomicU64,
-    /// Periodic snapshots written.
+    /// Snapshots written (periodic, compaction and normalization).
     pub checkpoints: AtomicU64,
+    /// Cumulative bytes those snapshots wrote, envelope included.
+    pub snapshot_bytes: AtomicU64,
     /// Op-logs whose torn/corrupt tail was truncated during recovery.
     pub oplog_truncated: AtomicU64,
     /// Estimated warm-state bytes resident in memory (gauge; the load
@@ -284,11 +293,21 @@ impl Slot {
     }
 }
 
+/// On-disk facts about a session, handed to [`SessionManager::with_state`]
+/// readers.
+#[derive(Debug, Clone, Copy)]
+pub struct DiskView {
+    /// Records currently in the op log.
+    pub ops_logged: u64,
+    /// Bytes of the snapshot plus its `.1` generation.
+    pub snap_bytes: u64,
+}
+
 /// One open session: immutable identity + spec, lock-guarded state.
 pub struct SessionEntry {
     /// Session id (the `/sessions/{id}` path segment).
     pub id: u64,
-    /// The creation spec (also persisted in `session-<id>.json`).
+    /// The creation spec (also persisted in `record.json`).
     pub spec: SessionSpec,
     slot: Mutex<Slot>,
 }
@@ -698,7 +717,8 @@ impl SessionManager {
     }
 
     /// Warm accessor for snapshots: replays if cold, refreshes the LRU
-    /// stamp, and hands the caller a view of the state via `f`.
+    /// stamp, and hands the caller a view of the state and its disk
+    /// footprint via `f`.
     ///
     /// # Errors
     ///
@@ -706,13 +726,16 @@ impl SessionManager {
     pub fn with_state<T>(
         &self,
         entry: &SessionEntry,
-        f: impl FnOnce(&SessionState, u64) -> T,
+        f: impl FnOnce(&SessionState, DiskView) -> T,
     ) -> Result<T, HttpError> {
         let mut slot = entry.slot.lock().expect("session slot");
         self.ensure_warm(entry, &mut slot)?;
         slot.last_used = Instant::now();
-        let ops_logged = slot.ops_logged;
-        Ok(f(slot.warm.as_ref().expect("warmed above"), ops_logged))
+        let disk = DiskView {
+            ops_logged: slot.ops_logged,
+            snap_bytes: slot.snap_bytes,
+        };
+        Ok(f(slot.warm.as_ref().expect("warmed above"), disk))
     }
 
     /// Rebuilds the warm state from disk when the slot is cold:
@@ -727,10 +750,12 @@ impl SessionManager {
             self.metrics.oplog_truncated.fetch_add(1, Ordering::Relaxed);
         }
         let mut folded = 0u64;
+        let mut legacy = false;
         let mut state: Option<SessionState> = None;
         if let Ok(loaded) = store::read_with_fallback(&self.snapshot_path(entry.id)) {
-            if let Some((snap, k)) = decode_snapshot(&loaded.payload) {
+            if let Some((snap, k, v1)) = decode_snapshot(&loaded.payload) {
                 folded = k;
+                legacy = v1;
                 state = Some(snap);
             }
         }
@@ -769,12 +794,13 @@ impl SessionManager {
                 .fetch_sub(slot.oplog_bytes, Ordering::Relaxed);
             slot.oplog_bytes = stat;
         }
-        if replay.truncated || ahead {
+        if replay.truncated || ahead || legacy {
             // Normalize before accepting any new op: fold the recovered
             // state into a fresh `ops_folded = 0` snapshot and restart
             // the log. Without this, appending to a log the snapshot is
             // ahead of would let a *later* replay skip the new records
             // as if they had been folded — dropping acknowledged ops.
+            // The same fold rewrites a v1 snapshot as v2.
             if let Some(bytes) = self.write_snapshot(entry.id, &state, 0) {
                 self.account_snap(slot, bytes);
                 let _ = std::fs::remove_file(self.oplog_path(entry.id));
@@ -792,23 +818,17 @@ impl SessionManager {
         Ok(())
     }
 
-    /// Writes a full snapshot folding `ops_folded` log records,
-    /// returning its on-disk size. Best-effort: a failed write just
-    /// postpones the checkpoint.
+    /// Writes a binary (v2) snapshot folding `ops_folded` log records,
+    /// returning the on-disk size of the snapshot and its generation.
+    /// Best-effort: a failed write just postpones the checkpoint.
     fn write_snapshot(&self, id: u64, state: &SessionState, ops_folded: u64) -> Option<u64> {
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str("minpower-session-ckpt".into())),
-            ("version".into(), Value::Int(1)),
-            ("ops_folded".into(), Value::Int(ops_folded)),
-            ("state".into(), state.snapshot()),
-        ]);
-        match store::write_durable(&self.snapshot_path(id), doc.render().as_bytes()) {
-            Ok(_) => {
-                self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
-                Some(durable_len(&self.snapshot_path(id)))
-            }
-            Err(_) => None,
-        }
+        let path = self.snapshot_path(id);
+        let report = store::write_durable(&path, &state.checkpoint(ops_folded)).ok()?;
+        self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .snapshot_bytes
+            .fetch_add(report.bytes, Ordering::Relaxed);
+        Some(durable_len(&path))
     }
 
     /// Drops LRU warm states beyond `max_sessions`, never touching
@@ -1017,8 +1037,14 @@ impl SessionManager {
     }
 }
 
-/// Decodes a `session-<id>.snap` payload into (state, ops_folded).
-fn decode_snapshot(payload: &[u8]) -> Option<(SessionState, u64)> {
+/// Decodes a `snap` payload into `(state, ops_folded, legacy)`: a
+/// binary v2 checkpoint, or a v1 `minpower-session-ckpt` JSON document
+/// (`legacy`, which the warm-up normalization rewrites as v2).
+fn decode_snapshot(payload: &[u8]) -> Option<(SessionState, u64, bool)> {
+    if payload.starts_with(&CHECKPOINT_MAGIC) {
+        let (state, ops_folded) = SessionState::from_checkpoint(payload).ok()?;
+        return Some((state, ops_folded, false));
+    }
     let text = std::str::from_utf8(payload).ok()?;
     let doc = json::parse(text).ok()?;
     let obj = doc.as_obj("session ckpt").ok()?;
@@ -1027,7 +1053,7 @@ fn decode_snapshot(payload: &[u8]) -> Option<(SessionState, u64)> {
     }
     let ops_folded = obj.req("ops_folded").ok()?.as_u64("ops_folded").ok()?;
     let state = SessionState::from_snapshot(obj.req("state").ok()?).ok()?;
-    Some((state, ops_folded))
+    Some((state, ops_folded, true))
 }
 
 #[cfg(test)]
@@ -1312,6 +1338,94 @@ mod tests {
         let m4 = SessionManager::new(&config);
         let e4 = m4.get(id).unwrap();
         assert_eq!(rendered(&m4, &e4), live2, "post-normalization ops kept");
+        cleanup(&config.state_dir);
+    }
+
+    /// The format-v1 checkpoint writer: the JSON snapshot document in a
+    /// `minpower-session-ckpt` wrapper.
+    fn write_v1_snapshot(path: &Path, state: &SessionState, ops_folded: u64) {
+        let doc = Value::Obj(vec![
+            ("schema".into(), Value::Str("minpower-session-ckpt".into())),
+            ("version".into(), Value::Int(1)),
+            ("ops_folded".into(), Value::Int(ops_folded)),
+            ("state".into(), state.snapshot()),
+        ]);
+        store::write_durable(path, doc.render().as_bytes()).unwrap();
+    }
+
+    fn snap_is_v2(manager: &SessionManager, id: u64) -> bool {
+        let loaded = store::read_verified(&manager.snapshot_path(id)).unwrap();
+        loaded.starts_with(&CHECKPOINT_MAGIC)
+    }
+
+    /// A v1 snapshot left as the only copy of the state (the log
+    /// compacted away, no `.1` generation) recovers bit-identically, is
+    /// rewritten as v2 by the first warm-up, and later ops survive a
+    /// restart.
+    #[test]
+    fn v1_snapshot_upgrades_to_v2_on_first_warm_up() {
+        use minpower_netlist::GateKind;
+        let config = scratch_config("upgrade");
+        let manager = SessionManager::new(&config);
+        let (id, _) = manager.create(c17_spec()).unwrap();
+        let entry = manager.get(id).unwrap();
+        for op in [
+            resize(3.0),
+            SessionOp::SetVdd { vdd: 2.2 },
+            SessionOp::AddGate {
+                name: "x0".into(),
+                kind: GateKind::Nand,
+                fanin: vec!["22".into(), "23".into()],
+            },
+        ] {
+            manager.apply(&entry, &op).unwrap();
+        }
+        manager.compact(&entry).unwrap();
+        assert_eq!(file_len(&manager.oplog_path(id)), 0, "log compacted away");
+        let snap = manager.snapshot_path(id);
+        store::remove_generations(&snap);
+        manager
+            .with_state(&entry, |s, _| write_v1_snapshot(&snap, s, 0))
+            .unwrap();
+        let live = rendered(&manager, &entry);
+        assert!(!snap_is_v2(&manager, id));
+        assert!(!store::previous_generation(&snap).exists());
+
+        let m2 = SessionManager::new(&config);
+        let e2 = m2.get(id).unwrap();
+        assert_eq!(rendered(&m2, &e2), live, "v1 must recover bit-identically");
+        assert!(snap_is_v2(&m2, id), "the first warm-up rewrites v1 as v2");
+        m2.apply(&e2, &resize(4.5)).unwrap();
+        let live2 = rendered(&m2, &e2);
+
+        let m3 = SessionManager::new(&config);
+        let e3 = m3.get(id).unwrap();
+        assert_eq!(rendered(&m3, &e3), live2, "post-upgrade ops kept");
+        assert!(snap_is_v2(&m3, id));
+        cleanup(&config.state_dir);
+    }
+
+    #[test]
+    fn snapshot_bytes_count_every_snapshot_write() {
+        let config = scratch_config("snapbytes");
+        let manager = SessionManager::new(&config);
+        let (id, _) = manager.create(c17_spec()).unwrap();
+        let entry = manager.get(id).unwrap();
+        for i in 0..8u32 {
+            manager
+                .apply(&entry, &resize(2.0 + f64::from(i) * 0.25))
+                .unwrap();
+        }
+        let snap = manager.snapshot_path(id);
+        let written = manager.metrics.snapshot_bytes.load(Ordering::Relaxed);
+        // checkpoint_every = 4: two same-size snapshots, both still on disk.
+        assert_eq!(manager.metrics.checkpoints.load(Ordering::Relaxed), 2);
+        assert_eq!(written, durable_len(&snap));
+        assert_eq!(written, 2 * file_len(&snap));
+        let reported = manager
+            .with_state(&entry, |_, disk| disk.snap_bytes)
+            .unwrap();
+        assert_eq!(reported, written);
         cleanup(&config.state_dir);
     }
 

@@ -246,7 +246,10 @@ fn session_over_quota_answers_503_until_deleted() {
     let server = start(Config {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        session_quota_bytes: 512, // smaller than any c17 snapshot
+        // A c17 session's record is 172 bytes and one v2 snapshot 359
+        // (two after a compaction): this quota admits the first op but no
+        // compacted footprint.
+        session_quota_bytes: 256,
         state_dir: scratch_dir("quota"),
         ..Config::default()
     });
@@ -267,7 +270,7 @@ fn session_over_quota_answers_503_until_deleted() {
         }
         assert_eq!(status, 200, "{body}");
     }
-    assert!(rejected, "a 512-byte quota must reject ops eventually");
+    assert!(rejected, "a 256-byte quota must reject ops eventually");
     assert!(session_metric(server.addr, "quota_rejected") >= 1);
     assert!(
         session_metric(server.addr, "compactions") >= 1,

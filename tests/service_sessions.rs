@@ -14,15 +14,18 @@
 //! * a server killed mid-session (simulated power loss) recovers every
 //!   acknowledged op on restart, bit-identically — and, under the
 //!   `session.oplog.torn` fault, truncates the torn tail instead of
-//!   poisoning the session.
+//!   poisoning the session;
+//! * a damaged newest snapshot (a torn write under `io.write.torn`, or a
+//!   flipped bit) falls back to `snap.1` plus the op-log tail, again
+//!   bit-identical to a cold replay.
 
-// The faults build compiles only the torn-oplog drill, which uses a
-// subset of the shared helpers.
+// The faults build compiles only the drills, which use a subset of the
+// shared helpers.
 #![cfg_attr(feature = "faults", allow(dead_code))]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -457,6 +460,27 @@ fn killed_server_recovers_sessions_bit_identically() {
     }
     let live = state_doc(first.addr, id);
 
+    // Periodic snapshots at ops 3 and 6: both generations are on disk,
+    // and they are every snapshot byte the server wrote.
+    let dir = state_dir.join("sessions").join(id.to_string());
+    let on_disk: u64 = ["snap", "snap.1"]
+        .iter()
+        .map(|f| std::fs::metadata(dir.join(f)).expect("snapshot file").len())
+        .sum();
+    let (status, _, body) = get(first.addr, &format!("/sessions/{id}"));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        u64_field(&parse_body(&body), "snap_bytes"),
+        on_disk,
+        "{body}"
+    );
+    let (status, _, body) = get(first.addr, "/metrics");
+    assert_eq!(status, 200);
+    let metrics = parse_body(&body);
+    let sessions = field(&metrics, "sessions");
+    assert_eq!(u64_field(sessions, "checkpoints"), 2, "{body}");
+    assert_eq!(u64_field(sessions, "snapshot_bytes"), on_disk, "{body}");
+
     // Power loss: no graceful teardown, no final writes.
     assert_eq!(first.kill(), DrainOutcome::JobsInterrupted);
 
@@ -579,4 +603,94 @@ fn torn_oplog_tail_truncates_and_session_survives() {
     });
     assert_eq!(state_doc(third.addr, id), live);
     assert_eq!(third.shutdown(), DrainOutcome::Clean);
+}
+
+/// Drives a session into the damaged-newest-snapshot window and checks
+/// recovery. Ops 1–3, then a compaction, so the op log alone no longer
+/// reproduces the state; then ops 4–7 with a periodic snapshot at op 6
+/// (`arm` runs before them). After a kill, `damage` gets the newest
+/// `snap`, which must then fail verification. The restart must recover
+/// from `snap.1` plus the log tail, bit-identical to a cold replay.
+fn damaged_snapshot_falls_back(tag: &str, arm: impl FnOnce(), damage: impl FnOnce(&Path)) {
+    use minpower::opt::store;
+
+    let state_dir = scratch_dir(tag);
+    let config = || Config {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        session_checkpoint_every: 3,
+        state_dir: state_dir.clone(),
+        ..Config::default()
+    };
+    let first = start(config());
+    let id = open_session(first.addr, r#"{"circuit":"c17"}"#);
+    let ops = workout_ops();
+    let post_op = |wire: &str| {
+        let (status, _, body) = post_json(first.addr, &format!("/sessions/{id}/ops"), wire);
+        assert_eq!(status, 200, "op {wire}: {body}");
+    };
+    for (wire, _) in &ops[..3] {
+        post_op(wire);
+    }
+    let (status, _, body) = post_json(first.addr, &format!("/sessions/{id}/compact"), "");
+    assert_eq!(status, 200, "{body}");
+    arm();
+    for (wire, _) in &ops[3..] {
+        post_op(wire);
+    }
+    assert_eq!(first.kill(), DrainOutcome::JobsInterrupted);
+
+    let snap = state_dir.join("sessions").join(id.to_string()).join("snap");
+    damage(&snap);
+    assert!(
+        store::read_verified(&snap).is_err(),
+        "newest snap must be damaged"
+    );
+    assert!(store::read_verified(&store::previous_generation(&snap)).is_ok());
+
+    let second = start(config());
+    let cold: Vec<SessionOp> = ops.into_iter().map(|(_, op)| op).collect();
+    assert_eq!(
+        state_doc(second.addr, id),
+        cold_replay_doc(&cold),
+        "recovery from snap.1 + log tail diverged from the cold replay"
+    );
+    assert_eq!(second.shutdown(), DrainOutcome::Clean);
+}
+
+/// The `io.write.torn` drill on a session snapshot: the periodic write
+/// at op 6 persists only half its payload while reporting success.
+#[cfg(feature = "faults")]
+#[test]
+fn torn_snapshot_write_falls_back_to_previous_generation() {
+    use minpower::engine::faults;
+
+    damaged_snapshot_falls_back(
+        "torn-snap",
+        || {
+            // The session record is already written: the next durable
+            // write is the periodic snapshot at op 6.
+            minpower::opt::store::reset_fault_indices();
+            faults::arm("io.write.torn", faults::Trigger::OnIndices(vec![0]));
+        },
+        |_| {},
+    );
+    assert_eq!(faults::fired_count("io.write.torn"), 1);
+    faults::disarm("io.write.torn");
+}
+
+/// Bit rot in the newest snapshot: one flipped payload bit fails its
+/// CRC, and recovery takes the previous generation instead.
+#[test]
+fn flipped_snapshot_bit_falls_back_to_previous_generation() {
+    damaged_snapshot_falls_back(
+        "flip-snap",
+        || {},
+        |snap| {
+            let mut bytes = std::fs::read(snap).expect("read snap");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x04;
+            std::fs::write(snap, &bytes).expect("write snap");
+        },
+    );
 }

@@ -67,19 +67,10 @@ pub struct TableRow {
 }
 
 /// True when the current bench binary was invoked with `--smoke` — the
-/// CI mode that runs each measurement once, just proving the bench
-/// still builds and executes (timings are meaningless there).
+/// CI mode that shrinks the workload and checks the committed baseline
+/// instead of live timings (which are meaningless there).
 pub fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
-}
-
-/// The requested iteration count, clamped to 1 in [`smoke_mode`].
-pub fn bench_runs(runs: u32) -> u32 {
-    if smoke_mode() {
-        1
-    } else {
-        runs
-    }
 }
 
 /// Builds the optimization problem the tables use for one circuit.

@@ -278,12 +278,13 @@ impl<'a> Sizer<'a> {
             .iter()
             .map(|v| v * (1.0 - self.vt_tolerance))
             .collect();
-        match crate::tilos::size_greedy_with_stats(
+        match crate::tilos::size_greedy_with_stats_ctl(
             self.problem,
             vdd,
             &vt_slow,
             crate::tilos::TilosOptions::default(),
             self.ctx.stats().clone(),
+            None,
         ) {
             Ok(r) => {
                 let energy_design = Design {

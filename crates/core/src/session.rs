@@ -497,9 +497,19 @@ impl SessionState {
     ///
     /// [`SessionError`] when `params` is out of range.
     pub fn new(netlist: Netlist, params: &SessionParams) -> Result<SessionState, SessionError> {
+        let design = Design::uniform(&netlist, params.vdd, params.vt, params.width);
+        SessionState::with_design(netlist, params, design)
+    }
+
+    /// [`SessionState::new`] starting from `design` instead of the
+    /// uniform one: one dense delay, STA and ledger evaluation.
+    fn with_design(
+        netlist: Netlist,
+        params: &SessionParams,
+        design: Design,
+    ) -> Result<SessionState, SessionError> {
         let tech = Technology::dac97();
         params.validate(&tech)?;
-        let design = Design::uniform(&netlist, params.vdd, params.vt, params.width);
         let model = CircuitModel::with_uniform_activity(
             &netlist,
             tech.clone(),
@@ -1205,11 +1215,12 @@ impl SessionState {
                 "dirty gate {name:?} is not a logic gate"
             )));
         }
-        let mut state = SessionState::new(netlist, params)?;
-        state.eval.rebuild(&state.model, |d| {
-            d.vt = vt;
-            d.width = width;
-        });
+        let design = Design {
+            vdd: params.vdd,
+            vt,
+            width,
+        };
+        let mut state = SessionState::with_design(netlist, params, design)?;
         state.revision = revision;
         state.dirty = dirty;
         Ok(state)

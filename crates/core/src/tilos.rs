@@ -60,7 +60,8 @@ pub fn size_greedy(
     options: TilosOptions,
 ) -> Result<OptimizationResult, OptimizeError> {
     let n = problem.model().netlist().gate_count();
-    size_greedy_with_vt(problem, vdd, &vec![vt; n], options)
+    let stats = crate::context::EvalContext::global().stats().clone();
+    size_greedy_with_stats_ctl(problem, vdd, &vec![vt; n], options, stats, None)
 }
 
 /// [`size_greedy`] under a [`RunControl`]: the move loop polls `control`
@@ -85,45 +86,18 @@ pub fn size_greedy_ctl(
     size_greedy_with_stats_ctl(problem, vdd, &vec![vt; n], options, stats, Some(control))
 }
 
-/// [`size_greedy`] with per-gate thresholds (the form the joint
-/// optimizer's greedy sizing mode uses).
-///
-/// # Errors
-///
-/// Same failure modes as [`size_greedy`].
+/// [`size_greedy`] with per-gate thresholds, counting into an explicit
+/// [`EngineStats`] and polling an optional [`RunControl`] once per move.
+/// The joint optimizer's greedy sizing mode routes through here so
+/// telemetry follows the caller's [`crate::context::EvalContext`] rather
+/// than the process-wide one. The move loop runs on the warm evaluator:
+/// arrival state updated over the dirty cone per move, energy terms
+/// delta-maintained in the ledger and re-summed in index order at the
+/// end. TILOS never rejects a move, so no probe is reverted.
 ///
 /// # Panics
 ///
 /// Panics if `vt.len()` differs from the gate count.
-pub fn size_greedy_with_vt(
-    problem: &Problem,
-    vdd: f64,
-    vt: &[f64],
-    options: TilosOptions,
-) -> Result<OptimizationResult, OptimizeError> {
-    let stats = crate::context::EvalContext::global().stats().clone();
-    size_greedy_with_stats(problem, vdd, vt, options, stats)
-}
-
-/// [`size_greedy_with_vt`] counting into an explicit [`EngineStats`] — the
-/// entry point the joint optimizer's greedy sizing mode routes through so
-/// telemetry follows the caller's [`crate::context::EvalContext`] rather
-/// than the process-wide one.
-pub(crate) fn size_greedy_with_stats(
-    problem: &Problem,
-    vdd: f64,
-    vt: &[f64],
-    options: TilosOptions,
-    stats: Arc<EngineStats>,
-) -> Result<OptimizationResult, OptimizeError> {
-    size_greedy_with_stats_ctl(problem, vdd, vt, options, stats, None)
-}
-
-/// [`size_greedy_with_stats`] with an optional [`RunControl`] polled once
-/// per move. The move loop runs on the warm evaluator: arrival state
-/// updated over the dirty cone per move, energy terms delta-maintained in
-/// the ledger and re-summed in index order at the end. TILOS never
-/// rejects a move, so no probe is reverted.
 pub(crate) fn size_greedy_with_stats_ctl(
     problem: &Problem,
     vdd: f64,

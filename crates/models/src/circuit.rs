@@ -367,22 +367,8 @@ impl CircuitModel {
     ///
     /// Produces exactly the vector [`CircuitModel::delays`] would, at
     /// `O(|cone|)` instead of `O(E)` — the enabling trick for
-    /// sensitivity-driven sizing loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len()` differs from the gate count.
-    pub fn update_delays_after_width_change(
-        &self,
-        design: &Design,
-        delays: &mut [f64],
-        changed: GateId,
-    ) {
-        self.update_delays_after_width_change_with(design, delays, changed, |_, _| {});
-    }
-
-    /// [`CircuitModel::update_delays_after_width_change`] with a journal
-    /// hook: `on_change(index, previous_delay)` fires for every gate whose
+    /// sensitivity-driven sizing loops. The journal hook
+    /// `on_change(index, previous_delay)` fires for every gate whose
     /// delay actually moved, *before* the overwrite — exactly what a
     /// transactional caller needs to revert the repair without
     /// recomputation.
@@ -799,7 +785,7 @@ mod tests {
         for (name, w) in [("u", 12.0), ("w", 2.0), ("y", 30.0), ("u", 5.0)] {
             let id = n.find(name).unwrap();
             d.width[id.index()] = w;
-            m.update_delays_after_width_change(&d, &mut delays, id);
+            m.update_delays_after_width_change_with(&d, &mut delays, id, |_, _| {});
             let full = m.delays(&d);
             for i in 0..n.gate_count() {
                 assert!(

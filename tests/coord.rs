@@ -1,6 +1,6 @@
-//! Loopback multi-worker integration tests: one coordinator + three
-//! `minpower serve --worker` processes (in-process servers on loopback
-//! ports), sharing a job-store directory.
+//! Loopback multi-worker integration tests: one coordinator + one or
+//! three `minpower serve --worker` processes (in-process servers on
+//! loopback ports), sharing a job-store directory.
 //!
 //! The two invariants under test:
 //!
@@ -167,9 +167,17 @@ fn shutdown(coord: Coord, workers: Vec<Worker>) {
 }
 
 #[test]
-fn three_workers_produce_bit_identical_suite_results() {
+fn one_and_three_workers_produce_bit_identical_suite_results() {
+    for worker_count in [1, 3] {
+        suite_results_match_local_run(worker_count);
+    }
+}
+
+/// Runs a three-shard suite job through a coordinator with
+/// `worker_count` workers and checks it against `merge::run_local`.
+fn suite_results_match_local_run(worker_count: usize) {
     let shared = scratch_dir("suite-shared");
-    let workers: Vec<Worker> = (0..3)
+    let workers: Vec<Worker> = (0..worker_count)
         .map(|i| start_worker(&shared, &format!("suite-w{i}")))
         .collect();
     let coord = start_coord(&shared, &workers.iter().collect::<Vec<_>>());
@@ -196,12 +204,12 @@ fn three_workers_produce_bit_identical_suite_results() {
     assert_eq!(
         strip_job_id(distributed).render(),
         strip_job_id(&local).render(),
-        "distributed merge must be bit-identical to the local run"
+        "distributed merge with {worker_count} workers must be bit-identical to the local run"
     );
     assert_eq!(
         merge::stats_of(distributed).unwrap(),
         local_stats,
-        "merged deterministic stats must match"
+        "merged deterministic stats with {worker_count} workers must match"
     );
 
     // The aggregate endpoints answer while everything is still up.

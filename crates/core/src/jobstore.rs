@@ -473,8 +473,7 @@ mod tests {
         let store = FsJobStore::open(&dir).unwrap();
         assert_eq!(store.get("k").unwrap().unwrap(), b"{\"v\":2}");
         // A framed record whose CRC does not match its payload — the
-        // store must reject it and fall back (an unframed file would be
-        // accepted as a legacy record, which is not corruption).
+        // store must reject it and fall back.
         std::fs::write(dir.join("k.json"), b"minpower-store 1 7 00000000\ngarbage").unwrap();
         assert_eq!(store.get("k").unwrap().unwrap(), b"{\"v\":1}");
     }

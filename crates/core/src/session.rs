@@ -25,21 +25,21 @@
 //!   `f_c`, ledger for activity, everything for `V_dd`); structural
 //!   edits rebuild densely (the wire model is a function of gate count,
 //!   so the whole delay surface legitimately moves).
-//! - The **op-log**: `append_op` writes one CRC-framed record per
-//!   applied op with an fsync, `read_oplog` replays the longest valid
-//!   prefix (a torn tail — crash or the `session.oplog.torn` fault —
-//!   truncates cleanly instead of poisoning the session). Replaying
-//!   the log over the creation parameters reproduces the live state
-//!   bit-for-bit, which is what makes kill-and-restart recovery and
-//!   the dense cross-check meaningful.
+//! - The **op-log**: `append_op` appends one CRC-framed record per
+//!   applied op through [`crate::store::append_durable`], and
+//!   `read_oplog` replays the longest valid prefix (a torn tail — a
+//!   crash or the `io.write.torn` fault — ends the prefix instead of
+//!   poisoning the session, and its offset is reported so the caller
+//!   can cut it). Replaying the log over the creation parameters
+//!   reproduces the live state bit-for-bit, which is what makes
+//!   kill-and-restart recovery and the dense cross-check meaningful.
 //! - The **checkpoint**: [`SessionState::checkpoint`] encodes the whole
 //!   state in a binary format (v2, layout at [`CHECKPOINT_MAGIC`]) whose
 //!   structure section is encoded once per structural revision and
 //!   whose numeric state is raw `f64` bits;
 //!   [`SessionState::from_checkpoint`] rebuilds it bit-identically. The
-//!   JSON [`SessionState::snapshot`] document (v1) remains the
-//!   full-state read format and decodes through
-//!   [`SessionState::from_snapshot`].
+//!   JSON [`SessionState::snapshot`] document is the full-state read
+//!   format; nothing reads it back.
 //!
 //! Checkpointing policy (how often to fold the log into a snapshot)
 //! and eviction live in the service layer; this module owns only the
@@ -50,7 +50,6 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 use std::fs;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use minpower_device::Technology;
@@ -60,7 +59,7 @@ use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 use crate::checkpoint::{put_str, put_varint, Cursor};
 use crate::incremental::IncrementalEval;
 use crate::json::{self, Value};
-use crate::store::FramedJournal;
+use crate::store::{self, FramedJournal};
 
 /// Input switching probability used for every session model, matching
 /// the cold job path (`JobSpec::build`) so a session and the equivalent
@@ -398,22 +397,6 @@ impl SessionOp {
                 ("op".into(), Value::Str("reoptimize".into())),
                 ("steps".into(), Value::Int(u64::from(*steps))),
             ]),
-        }
-    }
-
-    /// Short kind tag for logs and metrics.
-    pub fn kind_tag(&self) -> &'static str {
-        match self {
-            SessionOp::Resize { .. } => "resize",
-            SessionOp::SetVt { .. } => "set_vt",
-            SessionOp::SetVdd { .. } => "set_vdd",
-            SessionOp::SetFc { .. } => "set_fc",
-            SessionOp::SetActivity { .. } => "set_activity",
-            SessionOp::AddGate { .. } => "add_gate",
-            SessionOp::RemoveGate { .. } => "remove_gate",
-            SessionOp::RewireFanin { .. } => "rewire_fanin",
-            SessionOp::SwapGateKind { .. } => "swap_gate_kind",
-            SessionOp::Reoptimize { .. } => "reoptimize",
         }
     }
 }
@@ -1057,11 +1040,10 @@ impl SessionState {
         gates * 176 + edges * 24 + names + dirty + structure
     }
 
-    /// Full-state snapshot in the hex-bits float encoding: rebuilding via
-    /// [`SessionState::from_snapshot`] yields a bitwise-identical
-    /// state. This is the service's `?detail=gates` read format and
-    /// the format-v1 checkpoint payload; the service writes
-    /// [`SessionState::checkpoint`] instead.
+    /// Full-state snapshot in the hex-bits float encoding, so two
+    /// renders are equal exactly when the states are bit-identical. This
+    /// is the service's `?detail=gates` read format; durable snapshots
+    /// are [`SessionState::checkpoint`] instead.
     pub fn snapshot(&self) -> Value {
         let n = self.model.netlist();
         let gates: Vec<Value> = n
@@ -1109,77 +1091,6 @@ impl SessionState {
                 Value::Arr(self.dirty.iter().map(|s| Value::Str(s.clone())).collect()),
             ),
         ])
-    }
-
-    /// Rebuilds a state from a [`SessionState::snapshot`] document.
-    /// Delays, STA, and ledger are recomputed densely — bit-identical
-    /// to the live values by the incremental contract.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError`] on a malformed or inconsistent document.
-    pub fn from_snapshot(doc: &Value) -> Result<SessionState, SessionError> {
-        let obj = doc.as_obj("session snapshot")?;
-        let schema = obj.req("schema")?.as_str("schema")?;
-        if schema != "minpower-session-snapshot" {
-            return Err(SessionError::new(format!("unexpected schema {schema:?}")));
-        }
-        let version = obj.req("version")?.as_u64("version")?;
-        if version != 1 {
-            return Err(SessionError::new(format!(
-                "unsupported snapshot version {version}"
-            )));
-        }
-        let mut gates: Vec<GateDesc> = Vec::new();
-        for g in obj.req("gates")?.as_arr("gates")? {
-            let parts = g.as_arr("gate entry")?;
-            if parts.len() != 3 {
-                return Err(SessionError::new("gate entry must be [name, kind, fanin]"));
-            }
-            let kw = parts[1].as_str("gate kind")?;
-            let kind = if kw.eq_ignore_ascii_case("INPUT") {
-                GateKind::Input
-            } else {
-                kind_from_keyword(kw)?
-            };
-            let fanin = parts[2]
-                .as_arr("gate fanin")?
-                .iter()
-                .map(|v| v.as_str("fanin name").map(str::to_string))
-                .collect::<Result<Vec<_>, _>>()?;
-            gates.push((parts[0].as_str("gate name")?.to_string(), kind, fanin));
-        }
-        let outputs = obj
-            .req("outputs")?
-            .as_arr("outputs")?
-            .iter()
-            .map(|o| o.as_str("output name").map(str::to_string))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Persisted in index order, which is topological.
-        let netlist = build_netlist(
-            obj.req("netlist_name")?.as_str("netlist_name")?,
-            &gates,
-            &outputs,
-            obj.req("flip_flops")?.as_u64("flip_flops")? as usize,
-        )?;
-        let params = SessionParams {
-            fc: obj.req("fc")?.as_bits_f64("fc")?,
-            activity: obj.req("activity")?.as_bits_f64("activity")?,
-            skew: obj.req("skew")?.as_bits_f64("skew")?,
-            vdd: obj.req("vdd")?.as_bits_f64("vdd")?,
-            vt: obj.req("default_vt")?.as_bits_f64("default_vt")?,
-            width: obj.req("default_width")?.as_bits_f64("default_width")?,
-        };
-        let vt = obj.req("vt")?.as_bits_f64_vec("vt")?;
-        let width = obj.req("width")?.as_bits_f64_vec("width")?;
-        let dirty = obj
-            .req("dirty")?
-            .as_arr("dirty")?
-            .iter()
-            .map(|d| d.as_str("dirty name").map(str::to_string))
-            .collect::<Result<BTreeSet<_>, _>>()?;
-        let revision = obj.req("revision")?.as_u64("revision")?;
-        SessionState::restore(netlist, &params, vt, width, revision, dirty)
     }
 
     /// The state a persisted document describes: built over `netlist`,
@@ -1493,39 +1404,28 @@ pub const OPLOG_MAGIC: &str = "minpower-oplog";
 /// Op-log record format version.
 pub const OPLOG_VERSION: u32 = 1;
 
-static OPLOG_TORN_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Resets the fault-site call indices (test isolation; run fault tests
-/// single-threaded).
-#[cfg(feature = "faults")]
-pub fn reset_fault_indices() {
-    OPLOG_TORN_SEQ.store(0, Ordering::Relaxed);
-}
-
 const OPLOG: FramedJournal = FramedJournal::new(OPLOG_MAGIC, OPLOG_VERSION);
 
 /// Appends one op record — `"minpower-oplog <version> <len> <crc32>\n"`
-/// then canonical op JSON then `"\n"` — and fsyncs, returning the bytes
-/// written (the service's disk accounting sums them against the session
-/// quota). The `session.oplog.torn` fault site truncates the record
-/// mid-payload while still reporting success; the torn tail is caught
-/// by the CRC on the next read.
+/// then canonical op JSON then `"\n"` — through
+/// [`store::append_durable`], returning the bytes written (the service's
+/// disk accounting sums them against the session quota). The first
+/// append creates the file and fsyncs its directory; later appends cost
+/// one write and one `fdatasync`. The store's `io.*` and
+/// `checkpoint.corrupt` fault sites apply.
 ///
 /// # Errors
 ///
-/// The underlying I/O error; the caller should drop its warm state so
-/// the session reconverges to the durable log.
+/// The store error once its retry budget is exhausted; the caller
+/// should drop its warm state so the session reconverges to the
+/// durable log.
 pub fn append_op(path: &Path, op: &SessionOp) -> std::io::Result<u64> {
     let payload = op.to_json().render();
     let mut record = Vec::with_capacity(payload.len() + 48);
     OPLOG.frame_into(&mut record, payload.as_bytes());
-    let seq = OPLOG_TORN_SEQ.fetch_add(1, Ordering::Relaxed);
-    if minpower_engine::faults::should_fire("session.oplog.torn", seq) {
-        let header_len = record.len() - payload.len() - 1;
-        record.truncate(header_len + payload.len() / 2);
-    }
-    FramedJournal::append(path, &record)?;
-    Ok(record.len() as u64)
+    let report =
+        store::append_durable(path, &record, !path.exists()).map_err(std::io::Error::other)?;
+    Ok(report.bytes)
 }
 
 /// Result of scanning an op-log.
@@ -1533,46 +1433,44 @@ pub fn append_op(path: &Path, op: &SessionOp) -> std::io::Result<u64> {
 pub struct OplogReplay {
     /// Ops decoded from the longest valid record prefix.
     pub ops: Vec<SessionOp>,
-    /// Whether a torn or corrupt tail was dropped.
-    pub truncated: bool,
+    /// Bytes those records span, when a torn or corrupt tail follows
+    /// them; `None` when the whole file replays.
+    pub torn_at: Option<u64>,
 }
 
 /// Reads the longest valid prefix of an op-log. A missing file is an
 /// empty log; a torn or corrupt tail (crash mid-append, injected torn
-/// write) is dropped and reported via [`OplogReplay::truncated`] —
-/// every record before it replays normally.
+/// write) is dropped and its offset reported via
+/// [`OplogReplay::torn_at`] — every record before it replays normally.
 pub fn read_oplog(path: &Path) -> OplogReplay {
     let Ok(bytes) = fs::read(path) else {
         return OplogReplay {
             ops: Vec::new(),
-            truncated: false,
+            torn_at: None,
         };
     };
     let prefix = OPLOG.scan(&bytes);
     let mut ops = Vec::with_capacity(prefix.records.len());
-    for (payload, _) in &prefix.records {
+    let mut valid_len = 0;
+    for &(payload, end) in &prefix.records {
         let op = std::str::from_utf8(payload)
             .ok()
             .and_then(|text| json::parse(text).ok())
             .and_then(|doc| SessionOp::from_json(&doc).ok());
-        let Some(op) = op else {
-            return OplogReplay {
-                ops,
-                truncated: true,
-            };
-        };
+        let Some(op) = op else { break };
         ops.push(op);
+        valid_len = end;
     }
     OplogReplay {
         ops,
-        truncated: prefix.valid_len < bytes.len(),
+        torn_at: (valid_len < bytes.len()).then_some(valid_len as u64),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestSeq;
+    use std::sync::atomic::{AtomicU64 as TestSeq, Ordering};
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         static SEQ: TestSeq = TestSeq::new(0);
@@ -1757,25 +1655,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bitwise() {
-        let mut s = SessionState::new(sample(), &params()).unwrap();
-        s.apply(&SessionOp::Resize {
-            gate: "n2".into(),
-            width: 4.75,
-        })
-        .unwrap();
-        s.apply(&SessionOp::SetVdd { vdd: 2.1 }).unwrap();
-        let doc = json::parse(&s.snapshot().render()).unwrap();
-        let restored = SessionState::from_snapshot(&doc).unwrap();
-        assert_eq!(s.snapshot().render(), restored.snapshot().render());
-        assert_eq!(
-            s.critical_delay().to_bits(),
-            restored.critical_delay().to_bits()
-        );
-        restored.cross_check();
-    }
-
-    #[test]
     fn oplog_round_trips_and_tolerates_torn_tail() {
         let dir = scratch_dir("oplog");
         let path = dir.join("session.oplog");
@@ -1791,7 +1670,7 @@ mod tests {
             append_op(&path, op).unwrap();
         }
         let replay = read_oplog(&path);
-        assert!(!replay.truncated);
+        assert_eq!(replay.torn_at, None);
         assert_eq!(replay.ops, ops);
         // Tear the tail mid-record: the valid prefix must survive.
         let mut bytes = fs::read(&path).unwrap();
@@ -1799,8 +1678,13 @@ mod tests {
         bytes.truncate(keep);
         fs::write(&path, &bytes).unwrap();
         let torn = read_oplog(&path);
-        assert!(torn.truncated);
         assert_eq!(torn.ops, ops[..2]);
+        // The cut point is the end of the last intact record: cutting
+        // there leaves a log that replays whole.
+        let cut = torn.torn_at.expect("torn tail reported");
+        store::truncate(&path, cut).unwrap();
+        let clean = read_oplog(&path);
+        assert_eq!((clean.ops, clean.torn_at), (ops[..2].to_vec(), None));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2016,11 +1900,11 @@ mod tests {
         // As persisted: a flipped payload bit fails the envelope's CRC,
         // so it never reaches the decoder.
         let path = Path::new("session.snap");
-        let mut framed = crate::store::frame(&bytes);
+        let mut framed = store::frame(&bytes);
         let payload_at = framed.len() - bytes.len();
         let read = |file: &[u8]| {
-            let payload = crate::store::decode(path, file).map_err(to_session_error)?;
-            SessionState::from_checkpoint(payload.payload)
+            let payload = store::decode(path, file).map_err(to_session_error)?;
+            SessionState::from_checkpoint(payload)
         };
         assert!(read(&framed).is_ok());
         for bit in payload_at * 8..framed.len() * 8 {

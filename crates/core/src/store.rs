@@ -11,12 +11,12 @@
 //!   `minpower-store <version> <length> <crc32-hex>` followed by the
 //!   payload. A torn write, a truncation, or a flipped bit is detected
 //!   on the next read instead of being parsed into silently wrong
-//!   state. Unframed (legacy) files pass through for back-compat; their
-//!   only integrity check is downstream parsing.
+//!   state. A file without the envelope is corruption like any other.
 //! * **Framed journals** — [`FramedJournal`] is the append-only form:
 //!   one CRC-framed record per entry, read back as the longest valid
-//!   prefix. [`append_durable`] appends a batch of records with one
-//!   write and one `fdatasync`, so each record is written once.
+//!   prefix. [`append_durable`] is the one append path (probe journals
+//!   and session op logs): a batch of records with one write and one
+//!   `fdatasync`, so each record is written once.
 //! * **Atomic, durable writes** — [`write_durable`] writes a sibling
 //!   temp file, fsyncs it, rotates the previous record to a `.1`
 //!   generation, renames the temp into place, and fsyncs the parent
@@ -82,8 +82,8 @@ pub enum StoreError {
         /// Rendered OS error.
         message: String,
     },
-    /// The file starts like a framed record but its header line is
-    /// missing, truncated, or unparseable.
+    /// The file does not open with an envelope header line, or that
+    /// line is truncated or unparseable.
     BadHeader {
         /// Offending file.
         path: PathBuf,
@@ -252,28 +252,14 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A decoded record: the payload plus whether it carried an envelope.
-#[derive(Debug, Clone, Copy)]
-pub struct Decoded<'a> {
-    /// The record body.
-    pub payload: &'a [u8],
-    /// `false` for legacy (pre-store) unframed files.
-    pub framed: bool,
-}
-
-/// Verifies and strips the envelope. Files that do not begin with the
-/// magic token are passed through unframed (legacy compatibility).
+/// Verifies and strips the envelope, returning the payload.
 ///
 /// # Errors
 ///
-/// The typed [`StoreError`] naming the first integrity violation.
-pub fn decode<'a>(path: &Path, bytes: &'a [u8]) -> Result<Decoded<'a>, StoreError> {
-    if !bytes.starts_with(MAGIC.as_bytes()) {
-        return Ok(Decoded {
-            payload: bytes,
-            framed: false,
-        });
-    }
+/// The typed [`StoreError`] naming the first integrity violation; a
+/// file that does not open with the envelope header is
+/// [`StoreError::BadHeader`].
+pub fn decode<'a>(path: &Path, bytes: &'a [u8]) -> Result<&'a [u8], StoreError> {
     let bad = || StoreError::BadHeader {
         path: path.to_path_buf(),
     };
@@ -314,10 +300,7 @@ pub fn decode<'a>(path: &Path, bytes: &'a [u8]) -> Result<Decoded<'a>, StoreErro
             actual,
         });
     }
-    Ok(Decoded {
-        payload,
-        framed: true,
-    })
+    Ok(payload)
 }
 
 // ------------------------------------------------------ framed journals
@@ -413,21 +396,6 @@ impl FramedJournal {
             return None;
         }
         Some((len, crc))
-    }
-
-    /// Appends already-framed `records` to `path` (creating it) with one
-    /// write and one `fdatasync`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O error.
-    pub fn append(path: &Path, records: &[u8]) -> std::io::Result<()> {
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(records)?;
-        file.sync_data()
     }
 }
 
@@ -675,7 +643,7 @@ fn write_once(path: &Path, body: &[u8]) -> Result<(), StoreError> {
 /// [`StoreError`] describing the I/O failure or the corruption.
 pub fn read_verified(path: &Path) -> Result<Vec<u8>, StoreError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    decode(path, &bytes).map(|d| d.payload.to_vec())
+    decode(path, &bytes).map(<[u8]>::to_vec)
 }
 
 /// A record loaded by [`read_with_fallback`].
@@ -799,9 +767,8 @@ pub struct AuditReport {
     pub removed_temps: usize,
 }
 
-/// Whether `payload` is plausibly one of our records: UTF-8 JSON. This
-/// is the only integrity check available for legacy unframed files and
-/// a schema-independent sanity floor for framed ones.
+/// Whether `payload` is plausibly one of our records: UTF-8 JSON, a
+/// schema-independent sanity floor behind the CRC frame.
 fn payload_parses(payload: &[u8]) -> Result<(), String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
     crate::json::parse(text)
@@ -1074,16 +1041,17 @@ mod tests {
     fn frame_decode_round_trips() {
         let payload = br#"{"hello":[1,2,3]}"#;
         let framed = frame(payload);
-        let d = decode(Path::new("t"), &framed).unwrap();
-        assert!(d.framed);
-        assert_eq!(d.payload, payload);
+        assert_eq!(decode(Path::new("t"), &framed).unwrap(), payload);
     }
 
     #[test]
-    fn legacy_unframed_files_pass_through() {
-        let d = decode(Path::new("t"), b"{\"legacy\":true}").unwrap();
-        assert!(!d.framed);
-        assert_eq!(d.payload, b"{\"legacy\":true}");
+    fn unframed_files_are_rejected() {
+        for bytes in [&b"{\"legacy\":true}"[..], b"", b"minpower-store"] {
+            assert!(matches!(
+                decode(Path::new("t"), bytes),
+                Err(StoreError::BadHeader { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1091,31 +1059,24 @@ mod tests {
         let payload = b"{\"k\":\"0123456789abcdef\"}";
         let good = frame(payload);
         let p = Path::new("t");
-        // Truncations at every byte boundary.
+        // Truncations at every byte boundary, the empty file included.
         for cut in 0..good.len() {
-            let r = decode(p, &good[..cut]);
-            if cut == 0 {
-                assert!(r.is_ok(), "empty file is legacy-unframed");
-                continue;
-            }
-            match r {
-                Ok(d) => assert!(!d.framed, "truncation at {cut} accepted as framed"),
+            match decode(p, &good[..cut]) {
+                Ok(_) => panic!("truncation at {cut} accepted"),
                 Err(e) => assert!(e.is_corruption(), "cut {cut}: {e}"),
             }
         }
-        // Single-bit flips everywhere. Header flips may still decode
-        // (e.g. the version digit, which the CRC does not cover) — but
-        // then the payload MUST be byte-identical; a damaged payload is
-        // never returned.
+        // Single-bit flips everywhere. A flip in the magic is always an
+        // error. Other header flips may still decode (e.g. the version
+        // digit, which the CRC does not cover) — but then the payload
+        // MUST be byte-identical; a damaged payload is never returned.
         for i in 0..good.len() {
             for bit in [0x01u8, 0x80] {
                 let mut bad = good.clone();
                 bad[i] ^= bit;
                 match decode(p, &bad) {
-                    Ok(d) if d.framed => {
-                        assert_eq!(d.payload, payload, "flip at {i} returned damaged bytes");
-                    }
-                    Ok(_) => {} // magic damaged: legacy passthrough
+                    Ok(_) if i < MAGIC.len() => panic!("magic flip at {i} accepted"),
+                    Ok(d) => assert_eq!(d, payload, "flip at {i} returned damaged bytes"),
                     Err(e) => assert!(e.is_corruption()),
                 }
             }

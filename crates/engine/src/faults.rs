@@ -19,9 +19,10 @@
 //! | `probe.nan`         | a sizing probe reports NaN energy            |
 //! | `runctl.clock_jump` | a deadline check behaves as if time jumped   |
 //! | `service.conn.drop` | an HTTP connection dies before the response  |
-//! | `io.write.torn`     | a durable write persists only a prefix of the
-//!                         record and still reports success (torn write
-//!                         caught by the CRC frame on the next read)     |
+//! | `io.write.torn`     | a durable write or journal append persists
+//!                         only a prefix and still reports success (torn
+//!                         write caught by the CRC frame on the next
+//!                         read)                                         |
 //! | `io.write.short`    | a durable write fails with a short-write error
 //!                         (transient; absorbed by the bounded retry)    |
 //! | `io.fsync.fail`     | an fsync fails (transient; retried)          |
@@ -46,11 +47,6 @@
 //! | `net.response.truncated` | the response arrives cut off mid-stream,
 //!                         so HTTP/JSON parsing fails and the dispatch
 //!                         is classified transient                       |
-//! | `session.oplog.torn`| a session op-log append persists only the
-//!                         record header and half the payload while
-//!                         reporting success — a torn tail the replay
-//!                         path truncates at the last intact record
-//!                         (indexed by the process-wide append sequence) |
 //! | `session.compact.crash` | a session compaction crashes after the
 //!                         folded snapshot is durable but before the op
 //!                         log is truncated — the window recovery must

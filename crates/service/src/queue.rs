@@ -139,13 +139,6 @@ impl JobQueue {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.ready.notify_all();
     }
-
-    /// Drains every waiting job without running it (hard-stop path),
-    /// returning the drained jobs.
-    pub fn drain_pending(&self) -> Vec<Arc<Job>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.heap.drain().map(|e| e.job).collect()
-    }
 }
 
 #[cfg(test)]

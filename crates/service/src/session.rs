@@ -10,8 +10,9 @@
 //! * `record.json` — the creation record (spec), written through
 //!   [`minpower_core::store::write_durable`] before the session is
 //!   acknowledged;
-//! * `oplog` — one CRC-framed record per applied op, appended + fsynced
-//!   *after* the op applies and *before* the client sees success
+//! * `oplog` — one CRC-framed record per applied op, appended through
+//!   [`minpower_core::store::append_durable`] *after* the op applies and
+//!   *before* the client sees success
 //!   ([`minpower_core::session::append_op`]);
 //! * `snap` — a periodic full snapshot folding the log
 //!   (`session_checkpoint_every` ops), so recovery replays a bounded
@@ -20,9 +21,7 @@
 //!   `write_durable` CRC envelope, with the previous snapshot kept as
 //!   `snap.1`: the structure section is encoded once per structural
 //!   revision and the numeric state is written as raw `f64` bits, so a
-//!   periodic write costs little more than its fsyncs. A v1 payload
-//!   (the JSON [`SessionState::snapshot`] document) still recovers, and
-//!   the first warm-up rewrites it as v2.
+//!   periodic write costs little more than its fsyncs.
 //!
 //! `DELETE /sessions/{id}` removes the whole directory, and the bytes
 //! it held are counted in the `sessions.reclaimed_bytes` metric.
@@ -47,15 +46,21 @@
 //!   leaves the snapshot *ahead* of the (missing or shorter) log, which
 //!   the warm-up normalization folds back to a clean `ops_folded = 0`
 //!   snapshot before any new op is accepted — the
-//!   `session.compact.crash` fault drills the first window.
+//!   `session.compact.crash` fault drills the first window. If that
+//!   normalization cannot be made durable the warm-up fails (`503`)
+//!   instead of accepting ops a later replay would skip.
 //!
 //! Recovery (server restart, or re-warming an evicted session) rebuilds
-//! from the newest intact snapshot plus the op-log tail — or from the
-//! spec plus the whole log — and lands on a state bit-identical to the
-//! live one, because every op is deterministic. A torn log tail (crash
-//! mid-append, or the `session.oplog.torn` fault) truncates at the last
-//! intact record; acknowledged-but-lost ops are impossible because the
-//! acknowledgement is ordered after the fsync.
+//! from the newest decodable snapshot generation plus the op-log tail —
+//! or, when the session has no snapshot file at all, from the spec plus
+//! the whole log — and lands on a state bit-identical to the live one,
+//! because every op is deterministic. A snapshot that exists but that
+//! neither generation decodes fails the warm-up (`500`): the log may
+//! have been compacted into it, so the spec plus the log is no
+//! substitute. A torn log tail (crash mid-append, or the `io.write.torn`
+//! fault) is cut in place at the last intact record before any op is
+//! appended after it; acknowledged-but-lost ops are impossible because
+//! the acknowledgement is ordered after the fsync.
 //!
 //! ## Eviction
 //!
@@ -74,7 +79,7 @@ use std::time::Instant;
 
 use minpower_core::json::{self, Value};
 use minpower_core::session::{
-    append_op, read_oplog, OpOutcome, SessionOp, SessionParams, SessionState, CHECKPOINT_MAGIC,
+    append_op, read_oplog, OpOutcome, SessionOp, SessionParams, SessionState,
 };
 use minpower_core::store;
 
@@ -685,10 +690,7 @@ impl SessionManager {
                 format!("compaction could not remove the op log: {e}"),
             ));
         }
-        self.metrics
-            .disk_bytes
-            .fetch_sub(reclaimed, Ordering::Relaxed);
-        slot.oplog_bytes = 0;
+        self.account_oplog(slot, 0);
         slot.ops_logged = 0;
         slot.ops_snapshotted = 0;
         let rewritten = {
@@ -740,82 +742,117 @@ impl SessionManager {
 
     /// Rebuilds the warm state from disk when the slot is cold:
     /// snapshot + op-log tail when a snapshot exists, spec + whole log
-    /// otherwise. Counted in `session.replays`.
+    /// otherwise. A torn log tail is cut first. Counted in
+    /// `session.replays`.
     fn ensure_warm(&self, entry: &SessionEntry, slot: &mut Slot) -> Result<(), HttpError> {
         if slot.warm.is_some() {
             return Ok(());
         }
-        let replay = read_oplog(&self.oplog_path(entry.id));
-        if replay.truncated {
+        let oplog = self.oplog_path(entry.id);
+        let replay = read_oplog(&oplog);
+        if let Some(valid_len) = replay.torn_at {
+            // Appending after torn bytes would hide every later record
+            // from the next replay, so the tail goes before any op.
+            store::truncate(&oplog, valid_len).map_err(|e| {
+                HttpError::new(503, format!("cannot cut the op log's torn tail: {e}"))
+            })?;
             self.metrics.oplog_truncated.fetch_add(1, Ordering::Relaxed);
         }
-        let mut folded = 0u64;
-        let mut legacy = false;
-        let mut state: Option<SessionState> = None;
-        if let Ok(loaded) = store::read_with_fallback(&self.snapshot_path(entry.id)) {
-            if let Some((snap, k, v1)) = decode_snapshot(&loaded.payload) {
-                folded = k;
-                legacy = v1;
-                state = Some(snap);
+        let (mut state, mut folded) = match self.load_snapshot(entry.id)? {
+            Some(found) => found,
+            None => {
+                let netlist = resolve_netlist(&entry.spec.source)?;
+                let state = SessionState::new(netlist, &entry.spec.params)
+                    .map_err(|e| HttpError::new(500, format!("session rebuild failed: {e}")))?;
+                (state, 0)
             }
-        }
+        };
         // A snapshot *ahead* of the log (a compaction crashed between
         // removing the log and rewriting `ops_folded`, or a torn log
         // dropped records the snapshot had already folded) contains
         // every surviving op itself; the surviving log records are a
         // folded prefix, so skipping all of them is exact.
-        let mut ahead = false;
-        let mut state = match state {
-            Some(s) if folded as usize <= replay.ops.len() => s,
-            Some(s) => {
-                folded = replay.ops.len() as u64;
-                ahead = true;
-                s
-            }
-            None => {
-                folded = 0;
-                let netlist = resolve_netlist(&entry.spec.source)?;
-                SessionState::new(netlist, &entry.spec.params)
-                    .map_err(|e| HttpError::new(500, format!("session rebuild failed: {e}")))?
-            }
-        };
+        let ahead = folded > replay.ops.len() as u64;
+        if ahead {
+            folded = replay.ops.len() as u64;
+        }
         for op in replay.ops.iter().skip(folded as usize) {
             state
                 .apply(op)
                 .map_err(|e| HttpError::new(500, format!("session op-log replay failed: {e}")))?;
         }
         slot.ops_logged = replay.ops.len() as u64;
-        slot.ops_snapshotted = folded.min(slot.ops_logged);
-        {
-            let stat = file_len(&self.oplog_path(entry.id));
-            self.metrics.disk_bytes.fetch_add(stat, Ordering::Relaxed);
-            self.metrics
-                .disk_bytes
-                .fetch_sub(slot.oplog_bytes, Ordering::Relaxed);
-            slot.oplog_bytes = stat;
-        }
-        if replay.truncated || ahead || legacy {
-            // Normalize before accepting any new op: fold the recovered
-            // state into a fresh `ops_folded = 0` snapshot and restart
-            // the log. Without this, appending to a log the snapshot is
-            // ahead of would let a *later* replay skip the new records
-            // as if they had been folded — dropping acknowledged ops.
-            // The same fold rewrites a v1 snapshot as v2.
-            if let Some(bytes) = self.write_snapshot(entry.id, &state, 0) {
-                self.account_snap(slot, bytes);
-                let _ = std::fs::remove_file(self.oplog_path(entry.id));
-                self.metrics
-                    .disk_bytes
-                    .fetch_sub(slot.oplog_bytes, Ordering::Relaxed);
-                slot.oplog_bytes = 0;
-                slot.ops_logged = 0;
-                slot.ops_snapshotted = 0;
+        slot.ops_snapshotted = folded;
+        self.account_oplog(slot, file_len(&oplog));
+        if ahead {
+            // Normalize before accepting any new op: appending to a log
+            // the snapshot is ahead of would let a later replay skip the
+            // new records as if they had been folded. The log goes
+            // first, so a crash between the steps leaves the snapshot
+            // still ahead of an absent log.
+            match std::fs::remove_file(&oplog) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    return Err(HttpError::new(
+                        503,
+                        format!("cannot remove the op log behind the snapshot: {e}"),
+                    ))
+                }
             }
+            self.account_oplog(slot, 0);
+            slot.ops_logged = 0;
+            slot.ops_snapshotted = 0;
+            let bytes = self.write_snapshot(entry.id, &state, 0).ok_or_else(|| {
+                HttpError::new(503, "cannot rewrite the snapshot ahead of its op log")
+            })?;
+            self.account_snap(slot, bytes);
         }
         self.set_warm(slot, state);
         self.metrics.replays.fetch_add(1, Ordering::Relaxed);
         self.enforce_warm_cap(Some(entry.id));
         Ok(())
+    }
+
+    /// Points the slot's op-log accounting at a log of `bytes` bytes.
+    fn account_oplog(&self, slot: &mut Slot, bytes: u64) {
+        self.metrics.disk_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.metrics
+            .disk_bytes
+            .fetch_sub(slot.oplog_bytes, Ordering::Relaxed);
+        slot.oplog_bytes = bytes;
+    }
+
+    /// The newest snapshot generation that decodes, as `(state,
+    /// ops_folded)`; `None` when the session has no snapshot file.
+    ///
+    /// # Errors
+    ///
+    /// `500` naming the snapshot when a generation exists but neither
+    /// decodes.
+    fn load_snapshot(&self, id: u64) -> Result<Option<(SessionState, u64)>, HttpError> {
+        let path = self.snapshot_path(id);
+        let prev = store::previous_generation(&path);
+        if !path.exists() && !prev.exists() {
+            return Ok(None);
+        }
+        let mut why = Vec::new();
+        for p in [&path, &prev] {
+            let decoded = store::read_verified(p)
+                .map_err(|e| e.to_string())
+                .and_then(|payload| {
+                    SessionState::from_checkpoint(&payload)
+                        .map_err(|e| format!("{}: {e}", p.display()))
+                });
+            match decoded {
+                Ok(found) => return Ok(Some(found)),
+                Err(e) => why.push(e),
+            }
+        }
+        Err(HttpError::new(
+            500,
+            format!("session snapshot unreadable: {}", why.join("; ")),
+        ))
     }
 
     /// Writes a binary (v2) snapshot folding `ops_folded` log records,
@@ -1035,25 +1072,6 @@ impl SessionManager {
             .count() as u64;
         (open, warm)
     }
-}
-
-/// Decodes a `snap` payload into `(state, ops_folded, legacy)`: a
-/// binary v2 checkpoint, or a v1 `minpower-session-ckpt` JSON document
-/// (`legacy`, which the warm-up normalization rewrites as v2).
-fn decode_snapshot(payload: &[u8]) -> Option<(SessionState, u64, bool)> {
-    if payload.starts_with(&CHECKPOINT_MAGIC) {
-        let (state, ops_folded) = SessionState::from_checkpoint(payload).ok()?;
-        return Some((state, ops_folded, false));
-    }
-    let text = std::str::from_utf8(payload).ok()?;
-    let doc = json::parse(text).ok()?;
-    let obj = doc.as_obj("session ckpt").ok()?;
-    if obj.req("schema").ok()?.as_str("schema").ok()? != "minpower-session-ckpt" {
-        return None;
-    }
-    let ops_folded = obj.req("ops_folded").ok()?.as_u64("ops_folded").ok()?;
-    let state = SessionState::from_snapshot(obj.req("state").ok()?).ok()?;
-    Some((state, ops_folded, true))
 }
 
 #[cfg(test)]
@@ -1338,70 +1356,6 @@ mod tests {
         let m4 = SessionManager::new(&config);
         let e4 = m4.get(id).unwrap();
         assert_eq!(rendered(&m4, &e4), live2, "post-normalization ops kept");
-        cleanup(&config.state_dir);
-    }
-
-    /// The format-v1 checkpoint writer: the JSON snapshot document in a
-    /// `minpower-session-ckpt` wrapper.
-    fn write_v1_snapshot(path: &Path, state: &SessionState, ops_folded: u64) {
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Str("minpower-session-ckpt".into())),
-            ("version".into(), Value::Int(1)),
-            ("ops_folded".into(), Value::Int(ops_folded)),
-            ("state".into(), state.snapshot()),
-        ]);
-        store::write_durable(path, doc.render().as_bytes()).unwrap();
-    }
-
-    fn snap_is_v2(manager: &SessionManager, id: u64) -> bool {
-        let loaded = store::read_verified(&manager.snapshot_path(id)).unwrap();
-        loaded.starts_with(&CHECKPOINT_MAGIC)
-    }
-
-    /// A v1 snapshot left as the only copy of the state (the log
-    /// compacted away, no `.1` generation) recovers bit-identically, is
-    /// rewritten as v2 by the first warm-up, and later ops survive a
-    /// restart.
-    #[test]
-    fn v1_snapshot_upgrades_to_v2_on_first_warm_up() {
-        use minpower_netlist::GateKind;
-        let config = scratch_config("upgrade");
-        let manager = SessionManager::new(&config);
-        let (id, _) = manager.create(c17_spec()).unwrap();
-        let entry = manager.get(id).unwrap();
-        for op in [
-            resize(3.0),
-            SessionOp::SetVdd { vdd: 2.2 },
-            SessionOp::AddGate {
-                name: "x0".into(),
-                kind: GateKind::Nand,
-                fanin: vec!["22".into(), "23".into()],
-            },
-        ] {
-            manager.apply(&entry, &op).unwrap();
-        }
-        manager.compact(&entry).unwrap();
-        assert_eq!(file_len(&manager.oplog_path(id)), 0, "log compacted away");
-        let snap = manager.snapshot_path(id);
-        store::remove_generations(&snap);
-        manager
-            .with_state(&entry, |s, _| write_v1_snapshot(&snap, s, 0))
-            .unwrap();
-        let live = rendered(&manager, &entry);
-        assert!(!snap_is_v2(&manager, id));
-        assert!(!store::previous_generation(&snap).exists());
-
-        let m2 = SessionManager::new(&config);
-        let e2 = m2.get(id).unwrap();
-        assert_eq!(rendered(&m2, &e2), live, "v1 must recover bit-identically");
-        assert!(snap_is_v2(&m2, id), "the first warm-up rewrites v1 as v2");
-        m2.apply(&e2, &resize(4.5)).unwrap();
-        let live2 = rendered(&m2, &e2);
-
-        let m3 = SessionManager::new(&config);
-        let e3 = m3.get(id).unwrap();
-        assert_eq!(rendered(&m3, &e3), live2, "post-upgrade ops kept");
-        assert!(snap_is_v2(&m3, id));
         cleanup(&config.state_dir);
     }
 

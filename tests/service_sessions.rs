@@ -12,12 +12,16 @@
 //! * LRU eviction is transparent: an evicted session replays from its
 //!   op-log on the next touch and keeps answering;
 //! * a server killed mid-session (simulated power loss) recovers every
-//!   acknowledged op on restart, bit-identically — and, under the
-//!   `session.oplog.torn` fault, truncates the torn tail instead of
-//!   poisoning the session;
-//! * a damaged newest snapshot (a torn write under `io.write.torn`, or a
-//!   flipped bit) falls back to `snap.1` plus the op-log tail, again
-//!   bit-identical to a cold replay.
+//!   acknowledged op on restart, bit-identically — and, when
+//!   `io.write.torn` tears an op-log append, cuts the torn tail in place
+//!   instead of poisoning the session;
+//! * a damaged newest snapshot (a torn write under `io.write.torn`, a
+//!   flipped bit, or a payload that does not decode) falls back to
+//!   `snap.1` plus the op-log tail, again bit-identical to a cold
+//!   replay; with no decodable generation the warm-up fails instead of
+//!   serving the creation state;
+//! * a warm-up whose writes the disk refuses never leaves the session
+//!   accepting ops that a later replay would lose.
 
 // The faults build compiles only the drills, which use a subset of the
 // shared helpers.
@@ -525,83 +529,182 @@ fn killed_server_recovers_sessions_bit_identically() {
     assert_eq!(second.shutdown(), DrainOutcome::Clean);
 }
 
-/// The `session.oplog.torn` drill: an append persists only half a
-/// record while reporting success (a lying disk). The next recovery
-/// must truncate at the last intact record, normalize the log, count
-/// the truncation, and keep the session serving — never poison it.
-#[cfg(feature = "faults")]
-#[test]
-fn torn_oplog_tail_truncates_and_session_survives() {
-    use minpower::engine::faults;
+fn resize_wire(width: f64) -> String {
+    format!(r#"{{"op":"resize","gate":"10","width":{width}}}"#)
+}
 
-    let state_dir = scratch_dir("torn");
-    let first = start(Config {
+fn resizes(widths: &[f64]) -> Vec<SessionOp> {
+    widths
+        .iter()
+        .map(|&width| SessionOp::Resize {
+            gate: "10".into(),
+            width,
+        })
+        .collect()
+}
+
+fn default_config(state_dir: &Path) -> Config {
+    Config {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        state_dir: state_dir.clone(),
+        state_dir: state_dir.to_path_buf(),
         ..Config::default()
-    });
-    let id = open_session(first.addr, r#"{"circuit":"c17"}"#);
+    }
+}
 
-    minpower::opt::session::reset_fault_indices();
-    faults::arm("session.oplog.torn", faults::Trigger::OnIndices(vec![2]));
-    let widths = [2.5, 3.0, 3.5, 4.0];
-    for width in widths {
+/// Opens a c17 session in a fresh state directory and posts a resize
+/// per entry of `widths`, with `io.write.torn` tearing the op-log append
+/// at index `torn` (the disk persists half the record and reports
+/// success). Every op is acknowledged; the server is then killed.
+/// Returns the state directory and the session id.
+#[cfg(feature = "faults")]
+fn session_with_torn_oplog(tag: &str, widths: &[f64], torn: u64) -> (PathBuf, u64) {
+    use minpower::engine::faults;
+
+    let state_dir = scratch_dir(tag);
+    let first = start(default_config(&state_dir));
+    let id = open_session(first.addr, r#"{"circuit":"c17"}"#);
+    minpower::opt::store::reset_fault_indices();
+    faults::arm("io.write.torn", faults::Trigger::OnIndices(vec![torn]));
+    for &width in widths {
         let (status, _, body) = post_json(
             first.addr,
             &format!("/sessions/{id}/ops"),
-            &format!(r#"{{"op":"resize","gate":"10","width":{width}}}"#),
+            &resize_wire(width),
         );
         assert_eq!(status, 200, "{body}");
     }
-    assert_eq!(faults::fired_count("session.oplog.torn"), 1);
-    faults::disarm("session.oplog.torn");
+    assert_eq!(faults::fired_count("io.write.torn"), 1);
+    faults::disarm("io.write.torn");
     assert_eq!(first.kill(), DrainOutcome::JobsInterrupted);
+    (state_dir, id)
+}
 
-    let second = start(Config {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        state_dir: state_dir.clone(),
-        ..Config::default()
-    });
+/// The torn op-log drill: an append persists only half a record while
+/// reporting success (a lying disk). The next recovery must cut the log
+/// at the last intact record, count the cut, and keep the session
+/// serving — never poison it.
+#[cfg(feature = "faults")]
+#[test]
+fn torn_oplog_tail_truncates_and_session_survives() {
+    let (state_dir, id) = session_with_torn_oplog("torn", &[2.5, 3.0, 3.5, 4.0], 2);
+    let second = start(default_config(&state_dir));
     // The torn record (index 2) ends the readable prefix: ops 0 and 1
-    // survive, the tail is gone — truncated cleanly, not corrupting.
-    let expected = cold_replay_doc(&[
-        SessionOp::Resize {
-            gate: "10".into(),
-            width: 2.5,
-        },
-        SessionOp::Resize {
-            gate: "10".into(),
-            width: 3.0,
-        },
-    ]);
-    assert_eq!(state_doc(second.addr, id), expected);
+    // survive, the tail is gone — cut cleanly, not corrupting.
+    assert_eq!(
+        state_doc(second.addr, id),
+        cold_replay_doc(&resizes(&[2.5, 3.0]))
+    );
     let (status, _, body) = get(second.addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(
-        u64_field(field(&parse_body(&body), "sessions"), "oplog_truncated") >= 1,
+    assert_eq!(
+        u64_field(field(&parse_body(&body), "sessions"), "oplog_truncated"),
+        1,
         "{body}"
     );
 
-    // Normalized: new ops append to a fresh log and a further restart
-    // still recovers bit-identically.
+    // Cut in place: new ops append after the intact prefix and a further
+    // restart still recovers bit-identically.
     let (status, _, body) = post_json(
         second.addr,
         &format!("/sessions/{id}/ops"),
-        r#"{"op":"resize","gate":"10","width":5.0}"#,
+        &resize_wire(5.0),
     );
     assert_eq!(status, 200, "{body}");
     let live = state_doc(second.addr, id);
     assert_eq!(second.kill(), DrainOutcome::JobsInterrupted);
 
-    let third = start(Config {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        state_dir,
-        ..Config::default()
-    });
+    let third = start(default_config(&state_dir));
     assert_eq!(state_doc(third.addr, id), live);
+    assert_eq!(third.shutdown(), DrainOutcome::Clean);
+}
+
+/// A torn op-log tail met by a warm-up while the disk is full: the cut
+/// needs no write the disk refuses, so the op acknowledged afterwards
+/// lands after the intact prefix and survives a restart.
+#[cfg(feature = "faults")]
+#[test]
+fn op_acked_after_a_disk_full_warm_up_survives_restart() {
+    use minpower::engine::faults;
+
+    let (state_dir, id) = session_with_torn_oplog("torn-full", &[2.5, 3.0, 3.5], 2);
+    let second = start(default_config(&state_dir));
+    minpower::opt::store::reset_fault_indices();
+    faults::arm("io.disk.full", faults::Trigger::EveryNth(1));
+    let (status, _, body) = get(second.addr, &format!("/sessions/{id}"));
+    faults::disarm("io.disk.full");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(u64_field(&parse_body(&body), "revision"), 2, "{body}");
+
+    let (status, _, body) = post_json(
+        second.addr,
+        &format!("/sessions/{id}/ops"),
+        &resize_wire(5.0),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(u64_field(&parse_body(&body), "revision"), 3, "{body}");
+    let live = state_doc(second.addr, id);
+    assert_eq!(second.kill(), DrainOutcome::JobsInterrupted);
+
+    let third = start(default_config(&state_dir));
+    let recovered = state_doc(third.addr, id);
+    assert_eq!(recovered, live, "the acknowledged op was lost");
+    assert_eq!(recovered, cold_replay_doc(&resizes(&[2.5, 3.0, 5.0])));
+    assert_eq!(third.shutdown(), DrainOutcome::Clean);
+}
+
+/// A planted snapshot *ahead* of its (absent) log, met by a warm-up
+/// while the disk is full: the normalization that folds it back to
+/// `ops_folded = 0` cannot be written, so the warm-up must fail rather
+/// than accept ops a later replay would skip. Once the disk drains the
+/// session recovers and keeps every later op.
+#[cfg(feature = "faults")]
+#[test]
+fn snapshot_ahead_warm_up_fails_when_normalization_cannot_be_written() {
+    use minpower::engine::faults;
+    use minpower::opt::store;
+
+    let state_dir = scratch_dir("ahead-full");
+    let first = start(default_config(&state_dir));
+    let id = open_session(first.addr, r#"{"circuit":"c17"}"#);
+    assert_eq!(first.shutdown(), DrainOutcome::Clean);
+    let dir = state_dir.join("sessions").join(id.to_string());
+    let folded = resizes(&[2.5, 3.0, 3.5]);
+    let state = SessionState::replay(
+        minpower::circuits::c17(),
+        &SessionParams::default(),
+        &folded,
+    )
+    .expect("replay");
+    store::write_durable(&dir.join("snap"), &state.checkpoint(3)).expect("plant snapshot");
+    let _ = std::fs::remove_file(dir.join("oplog"));
+
+    let second = start(default_config(&state_dir));
+    store::reset_fault_indices();
+    faults::arm("io.disk.full", faults::Trigger::EveryNth(1));
+    let (status, _, body) = get(second.addr, &format!("/sessions/{id}"));
+    faults::disarm("io.disk.full");
+    assert_eq!(
+        status, 503,
+        "warm-up went warm without its normalization: {body}"
+    );
+
+    assert_eq!(state_doc(second.addr, id), cold_replay_doc(&folded));
+    let (status, _, body) = post_json(
+        second.addr,
+        &format!("/sessions/{id}/ops"),
+        &resize_wire(5.0),
+    );
+    assert_eq!(status, 200, "{body}");
+    let live = state_doc(second.addr, id);
+    assert_eq!(second.kill(), DrainOutcome::JobsInterrupted);
+
+    let third = start(default_config(&state_dir));
+    assert_eq!(
+        state_doc(third.addr, id),
+        live,
+        "an op after the warm-up was lost"
+    );
     assert_eq!(third.shutdown(), DrainOutcome::Clean);
 }
 
@@ -660,6 +763,8 @@ fn damaged_snapshot_falls_back(tag: &str, arm: impl FnOnce(), damage: impl FnOnc
 
 /// The `io.write.torn` drill on a session snapshot: the periodic write
 /// at op 6 persists only half its payload while reporting success.
+/// Op-log appends share the site, so the write is index 3: the appends
+/// of ops 4, 5 and 6 come first.
 #[cfg(feature = "faults")]
 #[test]
 fn torn_snapshot_write_falls_back_to_previous_generation() {
@@ -668,10 +773,8 @@ fn torn_snapshot_write_falls_back_to_previous_generation() {
     damaged_snapshot_falls_back(
         "torn-snap",
         || {
-            // The session record is already written: the next durable
-            // write is the periodic snapshot at op 6.
             minpower::opt::store::reset_fault_indices();
-            faults::arm("io.write.torn", faults::Trigger::OnIndices(vec![0]));
+            faults::arm("io.write.torn", faults::Trigger::OnIndices(vec![3]));
         },
         |_| {},
     );
@@ -693,4 +796,67 @@ fn flipped_snapshot_bit_falls_back_to_previous_generation() {
             std::fs::write(snap, &bytes).expect("write snap");
         },
     );
+}
+
+/// A snapshot whose envelope is intact but whose payload does not
+/// decode — a retired v1 `minpower-session-ckpt` document, or bytes that
+/// were never a checkpoint. With a decodable `snap.1` the warm-up takes
+/// it; with neither generation decodable it fails naming the snapshot,
+/// because after a compaction the creation spec plus the log no longer
+/// holds the acknowledged ops.
+#[test]
+fn undecodable_snapshot_falls_back_then_fails_never_serving_the_creation_state() {
+    use minpower::opt::store;
+
+    let state_dir = scratch_dir("undecodable-snap");
+    let first = start(default_config(&state_dir));
+    let id = open_session(first.addr, r#"{"circuit":"c17"}"#);
+    let widths = [2.5, 3.0, 3.5];
+    for width in widths {
+        let (status, _, body) = post_json(
+            first.addr,
+            &format!("/sessions/{id}/ops"),
+            &resize_wire(width),
+        );
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, _, body) = post_json(first.addr, &format!("/sessions/{id}/compact"), "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(first.shutdown(), DrainOutcome::Clean);
+    let expected = cold_replay_doc(&resizes(&widths));
+
+    // The v1 document goes in as `snap`; the intact v2 snapshot rotates
+    // to `snap.1`.
+    let snap = state_dir.join("sessions").join(id.to_string()).join("snap");
+    let v1 = Value::Obj(vec![
+        ("schema".into(), Value::Str("minpower-session-ckpt".into())),
+        ("version".into(), Value::Int(1)),
+        ("ops_folded".into(), Value::Int(0)),
+        ("state".into(), json::parse(&expected).expect("state doc")),
+    ]);
+    store::write_durable(&snap, v1.render().as_bytes()).expect("plant v1 snapshot");
+    let second = start(default_config(&state_dir));
+    assert_eq!(state_doc(second.addr, id), expected, "snap.1 not taken");
+    assert_eq!(second.shutdown(), DrainOutcome::Clean);
+
+    // Now neither generation decodes: the v1 document rotates to
+    // `snap.1` under a payload that was never a checkpoint.
+    store::write_durable(&snap, b"not a session checkpoint").expect("plant garbage");
+    let third = start(default_config(&state_dir));
+    let (status, _, body) = get(third.addr, &format!("/sessions/{id}"));
+    assert_eq!(status, 500, "{body}");
+    assert!(
+        body.contains("snap"),
+        "error must name the snapshot: {body}"
+    );
+    let (status, _, body) = post_json(
+        third.addr,
+        &format!("/sessions/{id}/ops"),
+        &resize_wire(5.0),
+    );
+    assert_eq!(
+        status, 500,
+        "an op was accepted over an unreadable snapshot: {body}"
+    );
+    assert_eq!(third.shutdown(), DrainOutcome::Clean);
 }

@@ -1,24 +1,26 @@
-//! SoA levelized kernel wall time: dense STA/energy passes and batched
-//! speculative width probes vs the scalar gate-by-gate path, on
+//! Levelized evaluation wall time: the model's memoized dense passes and
+//! batched speculative width probes vs the scalar gate-by-gate path, on
 //! Rent's-rule synthetic netlists from 100k to 1M gates.
 //!
 //! Two measurements per size:
 //!
-//! * **dense pass** — one full `timing_into` + `total_energy` sweep,
-//!   [`SoaKernel`](minpower_models::SoaKernel) vs
-//!   [`CircuitModel`](minpower_models::CircuitModel);
-//! * **width probes** — the sizing sweeps themselves: the kernel's
-//!   batched `size_sweep` against the serial gate-by-gate bisection
-//!   (transcribed from the budgeted sizer, as in the kernel's unit
-//!   tests). The batched path bisects each gate against hoisted
-//!   per-lane constants, so the transcendental work (`powf`, `exp`) is
-//!   paid once per distinct (Vdd, Vt) per sweep instead of once per
-//!   probe — this is the number the >= 2x acceptance target applies to.
-//!   Every timed repeat starts from a fresh `SizeScratch`, as `size_at`
-//!   does, so the first sweep is cold; the batched number includes the
-//!   second sweep's warm-lane reuse (gates whose inputs did not change
-//!   keep their width without a bisection). The lanes bisected and
-//!   reused are printed under the table.
+//! * **dense pass** — one full `timing_into` + `total_energy` sweep of
+//!   [`CircuitModel`](minpower_models::CircuitModel), which computes each
+//!   distinct (Vdd, Vt) device term once, against a local
+//!   topological-order fold of the scalar per-gate formula
+//!   (`CircuitModel::gate_delay`, which calls the device functions for
+//!   every gate);
+//! * **width probes** — the sizing sweeps themselves: the model's
+//!   batched `size_sweep` against its serial reference,
+//!   `scalar_size_sweep`. The batched path bisects each gate against
+//!   hoisted per-lane constants, so the transcendental work (`powf`,
+//!   `exp`) is paid once per distinct (Vdd, Vt) per sweep instead of once
+//!   per probe — this is the number the >= 2x acceptance target applies
+//!   to. Every timed repeat starts from a fresh `SizeScratch`, as
+//!   `size_at` does, so the first sweep is cold; the batched number
+//!   includes the second sweep's warm-lane reuse (gates whose inputs did
+//!   not change keep their width without a bisection). The lanes bisected
+//!   and reused are printed under the table.
 //!
 //! Both paths are bit-identical by contract; every run here asserts it
 //! on the actual results (critical delay, widths). End-to-end sizing,
@@ -43,8 +45,8 @@ use minpower_circuits::{synthesize, BenchmarkSpec};
 use minpower_core::budget::{assign_max_delays_with_policy, BudgetPolicy};
 use minpower_core::json::{self, Value};
 use minpower_core::Problem;
-use minpower_models::{CircuitModel, Design, SizeScratch, SoaKernel};
-use minpower_netlist::{GateKind, Netlist};
+use minpower_models::{CircuitModel, Design, SizeScratch};
+use minpower_netlist::Netlist;
 
 /// Fixed mid-range operating point where the width bisections do
 /// substantial work.
@@ -102,67 +104,46 @@ fn time_dense(f: &mut dyn FnMut() -> f64, iters: usize) -> (f64, f64) {
     (best, value)
 }
 
-/// The serial reference sweep: the budgeted sizer's gate-by-gate width
-/// bisection (bitwise the semantics of `SoaKernel::size_sweep`, probe
-/// by probe — the kernel's unit tests pin this transcription).
-fn serial_sweep(
+/// The scalar dense timing: per-gate delays folded in topological order
+/// with the reference formula, then the arrivals; returns the critical
+/// delay.
+fn scalar_timing(
     model: &CircuitModel,
-    design: &mut Design,
-    budgets: &[f64],
-    last_delays: &[f64],
+    design: &Design,
+    delays: &mut Vec<f64>,
+    arrival: &mut Vec<f64>,
 ) -> f64 {
-    let tech = model.technology();
-    let (w_lo, w_hi) = tech.w_range;
     let netlist = model.netlist();
-    let mut max_rel_change = 0.0f64;
+    delays.clear();
+    delays.resize(netlist.gate_count(), 0.0);
+    arrival.clear();
+    arrival.resize(netlist.gate_count(), 0.0);
     for &id in netlist.topological_order() {
         let i = id.index();
-        if netlist.gate(id).kind() == GateKind::Input {
-            continue;
-        }
-        let max_fanin = netlist
+        delays[i] = model.gate_delay(design, id, model.max_fanin_delay(delays, i));
+        let latest = netlist
             .gate(id)
             .fanin()
             .iter()
-            .map(|f| {
-                let j = f.index();
-                budgets[j].min(last_delays[j] * 1.05)
-            })
+            .map(|f| arrival[f.index()])
             .fold(0.0, f64::max);
-        let before = design.width[i];
-        let target = budgets[i] * MARGIN;
-        let mut lo = w_lo;
-        let mut hi = w_hi;
-        let mut feasible_w = None;
-        for _ in 0..STEPS {
-            let w = 0.5 * (lo + hi);
-            design.width[i] = w;
-            if model.gate_delay(design, id, max_fanin) <= target {
-                feasible_w = Some(w);
-                hi = w;
-            } else {
-                lo = w;
-            }
-        }
-        design.width[i] = w_lo;
-        if model.gate_delay(design, id, max_fanin) <= target {
-            feasible_w = Some(w_lo);
-        }
-        design.width[i] = feasible_w.unwrap_or(w_hi);
-        let rel = (design.width[i] - before).abs() / before.max(w_lo);
-        max_rel_change = max_rel_change.max(rel);
+        arrival[i] = latest + delays[i];
     }
-    max_rel_change
+    netlist
+        .outputs()
+        .iter()
+        .map(|o| arrival[o.index()])
+        .fold(0.0, f64::max)
 }
 
 /// Times `SWEEPS` coupled sizing sweeps (widths from minimum, budgets
 /// from Procedure 1, delays recomputed between sweeps) through either
-/// the batched kernel or the serial loop; returns the best wall over
+/// the batched sweep and memoized pass or the scalar reference sweep and
+/// fold; returns the best wall over
 /// `iters` repeats, the final widths for the bit-identity check, and the
 /// last repeat's lanes bisected and reused.
 fn time_probes(
     problem: &Problem,
-    kernel: &SoaKernel,
     budgets: &[f64],
     batched: bool,
     iters: usize,
@@ -178,11 +159,11 @@ fn time_probes(
         let mut scratch = SizeScratch::new();
         let mut design = Design::uniform(netlist, VDD, VT, w_lo);
         let mut last_delays = budgets.to_vec();
-        let mut sweep_delays = Vec::new();
+        let (mut sweep_delays, mut arrival) = (Vec::new(), Vec::new());
         let t0 = Instant::now();
         for _ in 0..SWEEPS {
             if batched {
-                kernel.size_sweep(
+                model.size_sweep(
                     &mut design,
                     budgets,
                     &last_delays,
@@ -190,10 +171,10 @@ fn time_probes(
                     MARGIN,
                     &mut scratch,
                 );
-                kernel.delays_into(&design, &mut sweep_delays);
-            } else {
-                serial_sweep(model, &mut design, budgets, &last_delays);
                 model.delays_into(&design, &mut sweep_delays);
+            } else {
+                model.scalar_size_sweep(&mut design, budgets, &last_delays, STEPS, MARGIN);
+                scalar_timing(model, &design, &mut sweep_delays, &mut arrival);
             }
             std::mem::swap(&mut last_delays, &mut sweep_delays);
         }
@@ -208,14 +189,13 @@ fn measure(gates: usize, iters: usize) -> Row {
     let netlist = rent_netlist(gates);
     let problem = minpower_bench::problem_for(&netlist, ACTIVITY);
     let model = problem.model();
-    let kernel = SoaKernel::new(model);
-    let depth = kernel.csr().level_count();
+    let depth = model.csr().level_count();
     let design = Design::uniform(&netlist, VDD, VT, 4.0);
 
     let (mut delays, mut arrival) = (Vec::new(), Vec::new());
     let (dense_scalar, crit_scalar) = time_dense(
         &mut || {
-            let crit = model.timing_into(&design, &mut delays, &mut arrival);
+            let crit = scalar_timing(model, &design, &mut delays, &mut arrival);
             let energy = model.total_energy(&design, minpower_bench::FC);
             std::hint::black_box(energy);
             crit
@@ -224,8 +204,8 @@ fn measure(gates: usize, iters: usize) -> Row {
     );
     let (dense_soa, crit_soa) = time_dense(
         &mut || {
-            let crit = kernel.timing_into(&design, &mut delays, &mut arrival);
-            let energy = kernel.total_energy(&design, minpower_bench::FC);
+            let crit = model.timing_into(&design, &mut delays, &mut arrival);
+            let energy = model.total_energy(&design, minpower_bench::FC);
             std::hint::black_box(energy);
             crit
         },
@@ -234,7 +214,7 @@ fn measure(gates: usize, iters: usize) -> Row {
     assert_eq!(
         crit_scalar.to_bits(),
         crit_soa.to_bits(),
-        "SoA dense pass diverged at {gates} gates"
+        "memoized dense pass diverged from the scalar fold at {gates} gates"
     );
 
     let budgets = assign_max_delays_with_policy(
@@ -242,9 +222,9 @@ fn measure(gates: usize, iters: usize) -> Row {
         problem.effective_cycle_time(),
         BudgetPolicy::FanoutWeighted,
     );
-    let (probe_serial, w_serial, _) = time_probes(&problem, &kernel, &budgets, false, iters);
+    let (probe_serial, w_serial, _) = time_probes(&problem, &budgets, false, iters);
     let (probe_batched, w_batched, (lanes_bisected, lanes_reused)) =
-        time_probes(&problem, &kernel, &budgets, true, iters);
+        time_probes(&problem, &budgets, true, iters);
     for (i, (a, b)) in w_batched.iter().zip(w_serial.iter()).enumerate() {
         assert_eq!(
             a.to_bits(),
@@ -313,10 +293,17 @@ fn main() {
         (vec![100_000, 300_000, 1_000_000], 2)
     };
 
-    println!("== SoA levelized kernel vs scalar path (vdd {VDD} V, vt {VT} V) ==");
+    println!("== levelized model passes vs scalar path (vdd {VDD} V, vt {VT} V) ==");
     println!(
         "{:>9} {:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8}",
-        "gates", "depth", "dense (s)", "soa (s)", "speedup", "serial (s)", "batched (s)", "speedup"
+        "gates",
+        "depth",
+        "scalar (s)",
+        "memo (s)",
+        "speedup",
+        "serial (s)",
+        "batched (s)",
+        "speedup"
     );
     let mut rows = Vec::new();
     for &gates in &sizes {

@@ -262,10 +262,17 @@ impl IncrementalEval {
 
     /// The dense oracle: the warm delays, arrivals and critical delay must
     /// be bitwise what [`CircuitModel::timing_into`] computes for the
-    /// design (a dense walk over the model's own topological order, not
-    /// the shared CSR), and the ledger's exact total what
+    /// design, and the ledger's exact total what
     /// [`CircuitModel::total_energy`] computes at the energy corner.
     /// Counts nothing.
+    ///
+    /// The warm delays come from repairs with the scalar per-gate formula
+    /// ([`CircuitModel::gate_delay`], which calls the device functions),
+    /// and the dense pass computes each `(Vdd, Vt)` device term once and
+    /// walks the shared CSR's level order, the same CSR the warm STA
+    /// reads. So this checks the memoized pass against the scalar formula
+    /// and the warm arrival propagation against a dense one; an error in
+    /// the CSR's adjacency itself would be shared by both sides.
     ///
     /// # Panics
     ///

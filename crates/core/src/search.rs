@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use minpower_engine::stats::Phase;
-use minpower_models::{CircuitModel, Design, EnergyBreakdown, SizeScratch, SoaKernel};
+use minpower_models::{CircuitModel, Design, EnergyBreakdown, SizeScratch};
 use minpower_netlist::{GateId, GateKind, Netlist};
 
 use crate::checkpoint::{CheckpointSpec, JournalWriter, ProbeJournal};
@@ -193,9 +193,6 @@ pub(crate) struct Sizer<'a> {
     sizing: SizingMethod,
     ctx: Arc<EvalContext>,
     salt: u64,
-    /// Levelized SoA evaluation kernel for the width sweeps, built once
-    /// per budgeted sizer (`None` for greedy sizing, which never sweeps).
-    soa: Option<SoaKernel>,
 }
 
 impl<'a> Sizer<'a> {
@@ -234,7 +231,6 @@ impl<'a> Sizer<'a> {
         );
         let salt =
             crate::context::probe_salt(problem, steps, width_passes, vt_tolerance, policy, sizing);
-        let soa = (sizing == SizingMethod::Budgeted).then(|| SoaKernel::new(problem.model()));
         Sizer {
             problem,
             budgets,
@@ -244,7 +240,6 @@ impl<'a> Sizer<'a> {
             sizing,
             ctx,
             salt,
-            soa,
         }
     }
 
@@ -363,12 +358,8 @@ impl<'a> Sizer<'a> {
         // recomputed self-consistently between sweeps (Jacobi style),
         // which keeps the iteration stable; stop when widths settle.
         //
-        // The sweep runs on the batched SoA kernel; debug builds
-        // cross-check every sweep against the scalar gate-by-gate loop.
-        let kernel = self
-            .soa
-            .as_ref()
-            .expect("budgeted sizers build the SoA kernel");
+        // The sweep is the model's batched one; debug builds cross-check
+        // every sweep against its scalar reference sweep.
         let max_sweeps = self.width_passes.max(2) + 10;
         let mut last_delays = self.budgets.clone();
         let mut sweep_delays = Vec::new();
@@ -377,10 +368,16 @@ impl<'a> Sizer<'a> {
             #[cfg(debug_assertions)]
             let reference = {
                 let mut scalar = design.clone();
-                let rel = self.scalar_size_sweep(&mut scalar, &last_delays);
+                let rel = model.scalar_size_sweep(
+                    &mut scalar,
+                    &self.budgets,
+                    &last_delays,
+                    self.steps,
+                    MARGIN,
+                );
                 (scalar, rel)
             };
-            let max_rel_change = kernel.size_sweep(
+            let max_rel_change = model.size_sweep(
                 &mut design,
                 &self.budgets,
                 &last_delays,
@@ -393,7 +390,7 @@ impl<'a> Sizer<'a> {
                 assert_eq!(
                     max_rel_change.to_bits(),
                     reference.1.to_bits(),
-                    "batched SoA sweep: relative width change diverged from scalar"
+                    "batched sweep: relative width change diverged from scalar"
                 );
                 for (i, (b, s)) in design
                     .width
@@ -404,11 +401,11 @@ impl<'a> Sizer<'a> {
                     assert_eq!(
                         b.to_bits(),
                         s.to_bits(),
-                        "batched SoA sweep diverged from scalar at gate {i}"
+                        "batched sweep diverged from scalar at gate {i}"
                     );
                 }
             }
-            kernel.delays_into(&design, &mut sweep_delays);
+            model.delays_into(&design, &mut sweep_delays);
             std::mem::swap(&mut last_delays, &mut sweep_delays);
             self.ctx.stats().count_sta(1);
             if max_rel_change < 0.005 {
@@ -440,71 +437,6 @@ impl<'a> Sizer<'a> {
             critical_delay: critical,
             feasible,
         }
-    }
-
-    /// One scalar width-sizing sweep: contract-based sizing, gate by gate
-    /// in topological order. Each gate is sized so its delay meets a
-    /// slightly derated budget **assuming its drivers run at exactly
-    /// their own budgets** (the slope-term input of Eq. A3). By induction
-    /// along the topological order, if every gate meets its contract then
-    /// every actual delay is within its budget — the sizing decouples
-    /// from the iterative delay values and only the load coupling (sink
-    /// widths) remains, which the fixed-point sweeps resolve.
-    ///
-    /// Reference semantics for [`SoaKernel::size_sweep`], which batches
-    /// the same bisection level by level; the two are bit-identical (the
-    /// debug cross-check in [`Self::size_uncached`] enforces it). Debug
-    /// builds only: it is the SoA sweep's oracle, not a production path.
-    #[cfg(debug_assertions)]
-    fn scalar_size_sweep(&self, design: &mut Design, last_delays: &[f64]) -> f64 {
-        let model = self.problem.model();
-        let netlist = model.netlist();
-        let (w_lo, w_hi) = model.technology().w_range;
-        let search_width = |design: &mut Design, i: usize, max_fanin: f64| {
-            let id = minpower_netlist::GateId::new(i);
-            let target = self.budgets[i] * MARGIN;
-            let mut lo = w_lo;
-            let mut hi = w_hi;
-            let mut feasible_w = None;
-            for _ in 0..self.steps {
-                let w = 0.5 * (lo + hi);
-                design.width[i] = w;
-                let t = model.gate_delay(design, id, max_fanin);
-                if t <= target {
-                    feasible_w = Some(w);
-                    hi = w;
-                } else {
-                    lo = w;
-                }
-            }
-            // Try the extreme ends the bisection never lands on.
-            design.width[i] = w_lo;
-            if model.gate_delay(design, id, max_fanin) <= target {
-                feasible_w = Some(w_lo);
-            }
-            design.width[i] = feasible_w.unwrap_or(w_hi);
-        };
-        let mut max_rel_change = 0.0f64;
-        for &id in netlist.topological_order() {
-            let i = id.index();
-            if netlist.gate(id).kind() == GateKind::Input {
-                continue;
-            }
-            let max_fanin = netlist
-                .gate(id)
-                .fanin()
-                .iter()
-                .map(|f| {
-                    let j = f.index();
-                    self.budgets[j].min(last_delays[j] * 1.05)
-                })
-                .fold(0.0, f64::max);
-            let before = design.width[i];
-            search_width(design, i, max_fanin);
-            let rel = (design.width[i] - before).abs() / before.max(w_lo);
-            max_rel_change = max_rel_change.max(rel);
-        }
-        max_rel_change
     }
 
     /// The repair loop + final evaluation on the warm evaluator: per-move

@@ -230,12 +230,10 @@ fn best_sensitivity_move(
             let w_new = (w_old * step).min(w_hi);
             let max_fanin = model.max_fanin_delay(delays, i);
             let t_old = delays[i];
-            let e_old =
-                model.gate_dynamic_energy(design, cur) + model.gate_static_energy(design, cur, fc);
+            let e_old = model.gate_energy(design, cur, fc).total();
             design.width[i] = w_new;
             let t_new = model.gate_delay(design, cur, max_fanin);
-            let e_new =
-                model.gate_dynamic_energy(design, cur) + model.gate_static_energy(design, cur, fc);
+            let e_new = model.gate_energy(design, cur, fc).total();
             design.width[i] = w_old;
             let gain = t_old - t_new;
             let cost = (e_new - e_old).max(1e-30);

@@ -1,11 +1,12 @@
-//! Bit-identity of the batched SoA sizing path with its scalar and dense
+//! Bit-identity of the batched sizing path with its scalar and dense
 //! oracles.
 //!
-//! Width sweeps run on the levelized SoA kernel and the post-sweep
-//! repair on the warm incremental evaluator. With debug assertions (the
-//! default `cargo test` profile), every sweep is checked bit for bit
-//! against the scalar gate-by-gate sweep, and the warm evaluator against
-//! a dense recompute after construction and after every repair probe.
+//! Width sweeps run on the model's batched `size_sweep` and the
+//! post-sweep repair on the warm incremental evaluator. With debug
+//! assertions (the default `cargo test` profile), every sweep is checked
+//! bit for bit against the scalar reference sweep, and the warm evaluator
+//! (whose delay repairs use the scalar per-gate formula) against the
+//! model's dense pass after construction and after every repair probe.
 //! These tests drive those oracles across the paper's ISCAS-style suite
 //! and seeded Rent's-rule synthetic netlists, end to end through
 //! Procedure 2, then re-evaluate each committed result densely. Release
@@ -79,9 +80,10 @@ fn full_optimizer_matches_scalar_end_to_end() {
 }
 
 /// Randomized edit/width sequences: after arbitrary per-gate width and
-/// threshold edits, the kernel's dense passes must stay bitwise equal to
-/// the scalar model's, and Procedure 2's batched sizing must agree at
-/// random operating points. Self-contained generators (see
+/// threshold edits, the model's memoized dense passes must stay bitwise
+/// equal to a fold of the scalar per-gate formulas, and Procedure 2's
+/// batched sizing must agree with the scalar reference at random
+/// operating points. Self-contained generators (see
 /// `crates/timing/tests/incremental_properties.rs`); the feature gates
 /// the heavier randomized wall time out of the default `cargo test`.
 ///
@@ -89,7 +91,8 @@ fn full_optimizer_matches_scalar_end_to_end() {
 #[cfg(feature = "proptest")]
 mod randomized {
     use super::*;
-    use minpower_models::{Design, SoaKernel};
+    use minpower_models::{Design, EnergyBreakdown};
+    use minpower_netlist::GateId;
 
     /// SplitMix64 — deterministic, dependency-free.
     struct Rng(u64);
@@ -116,19 +119,33 @@ mod randomized {
         }
     }
 
-    fn assert_dense_passes_match(
-        model: &CircuitModel,
-        kernel: &SoaKernel,
-        design: &Design,
-        case: u64,
-    ) {
-        let (mut d_a, mut a_a) = (Vec::new(), Vec::new());
+    fn assert_dense_passes_match(model: &CircuitModel, design: &Design, case: u64) {
+        let netlist = model.netlist();
+        let n = netlist.gate_count();
+        // The scalar fold: the reference per-gate formulas in the
+        // netlist's topological order.
+        let (mut d_a, mut a_a) = (vec![0.0; n], vec![0.0; n]);
+        for &id in netlist.topological_order() {
+            let i = id.index();
+            d_a[i] = model.gate_delay(design, id, model.max_fanin_delay(&d_a, i));
+            let latest = netlist
+                .gate(id)
+                .fanin()
+                .iter()
+                .map(|f| a_a[f.index()])
+                .fold(0.0, f64::max);
+            a_a[i] = latest + d_a[i];
+        }
+        let crit_scalar = netlist
+            .outputs()
+            .iter()
+            .map(|o| a_a[o.index()])
+            .fold(0.0, f64::max);
         let (mut d_b, mut a_b) = (Vec::new(), Vec::new());
-        let crit_scalar = model.timing_into(design, &mut d_a, &mut a_a);
-        let crit_soa = kernel.timing_into(design, &mut d_b, &mut a_b);
+        let crit_memo = model.timing_into(design, &mut d_b, &mut a_b);
         assert_eq!(
             crit_scalar.to_bits(),
-            crit_soa.to_bits(),
+            crit_memo.to_bits(),
             "critical delay diverged (case {case})"
         );
         for (i, (x, y)) in d_a.iter().zip(d_b.iter()).enumerate() {
@@ -145,14 +162,16 @@ mod randomized {
                 "arrival[{i}] diverged (case {case})"
             );
         }
-        let e_scalar = model.total_energy(design, FC);
-        let e_soa = kernel.total_energy(design, FC);
-        assert_eq!(e_scalar.static_.to_bits(), e_soa.static_.to_bits());
-        assert_eq!(e_scalar.dynamic.to_bits(), e_soa.dynamic.to_bits());
+        let e_scalar: EnergyBreakdown = (0..n)
+            .map(|i| model.gate_energy(design, GateId::new(i), FC))
+            .sum();
+        let e_memo = model.total_energy(design, FC);
+        assert_eq!(e_scalar.static_.to_bits(), e_memo.static_.to_bits());
+        assert_eq!(e_scalar.dynamic.to_bits(), e_memo.dynamic.to_bits());
     }
 
     /// Random Rent netlists under random width/threshold edit storms:
-    /// the kernel's dense STA + energy passes track the scalar model
+    /// the model's dense STA + energy passes track the scalar formulas
     /// bitwise after every committed batch of edits.
     #[test]
     fn dense_passes_match_under_random_edit_sequences() {
@@ -163,7 +182,6 @@ mod randomized {
             let netlist = synthesize(&spec).expect("rent spec is valid");
             let model =
                 CircuitModel::with_uniform_activity(&netlist, Technology::dac97(), 0.5, 0.3);
-            let kernel = SoaKernel::new(&model);
             let (w_lo, w_hi) = model.technology().w_range;
 
             let vdd = rng.range(1.0, 3.3);
@@ -177,7 +195,7 @@ mod randomized {
                         design.vt[g] = rng.range(0.2, 0.6);
                     }
                 }
-                assert_dense_passes_match(&model, &kernel, &design, case);
+                assert_dense_passes_match(&model, &design, case);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Whole-circuit evaluation: per-gate delay and energy, critical path,
 //! totals.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use minpower_activity::{Activities, InputActivity};
@@ -15,29 +16,20 @@ use crate::energy::EnergyBreakdown;
 /// output: a register/pad input of twice the minimum width.
 pub(crate) const PO_LOAD_WIDTHS: f64 = 2.0;
 
-/// One fanout branch of a gate: its sink and the interconnect attached to
-/// the branch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FanoutEdge {
-    /// Sink gate index, or `None` for a primary-output load.
-    pub(crate) target: Option<u32>,
-    /// Interconnect capacitance of the branch, farads.
-    pub(crate) c_int: f64,
-    /// Interconnect resistance of the branch, ohms.
-    pub(crate) r_int: f64,
-    /// Time of flight down the branch, seconds.
-    pub(crate) flight: f64,
-}
+/// Source of [`CircuitModel`] identities (see `CircuitModel::id`).
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Structure-dependent per-gate data, precomputed once.
-#[derive(Debug, Clone)]
-pub(crate) struct GateInfo {
-    pub(crate) is_input: bool,
-    pub(crate) fanin: Vec<u32>,
-    pub(crate) fanin_count: f64,
-    pub(crate) stack: f64,
-    pub(crate) activity: f64,
-    pub(crate) fanout: Vec<FanoutEdge>,
+/// The interconnect of one fanout branch. A gate's branches all share one
+/// wire length (`branch_length_m` of its fanout count), so one value per
+/// gate serves every branch, the primary-output load included.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Branch {
+    /// Interconnect capacitance, farads.
+    pub(crate) c_int: f64,
+    /// Interconnect resistance, ohms.
+    pub(crate) r_int: f64,
+    /// Time of flight, seconds.
+    pub(crate) flight: f64,
 }
 
 /// Per-gate result of one design evaluation.
@@ -72,16 +64,28 @@ impl CircuitEval {
 /// A netlist bound to a technology, wiring model, and activity profile,
 /// ready for fast repeated evaluation of candidate [`Design`]s.
 ///
-/// Construction is `O(E)` and precomputes everything that does not depend
-/// on the design variables; each evaluation is then a single `O(E)`
-/// topological pass — the "circuit simulation" unit in the paper's
+/// Construction is `O(V)` and precomputes, in flat per-gate arrays,
+/// everything that does not depend on the design variables; adjacency is
+/// the netlist's shared [`LevelizedCsr`]. Each evaluation is then a single
+/// `O(E)` levelized pass — the "circuit simulation" unit in the paper's
 /// `O(M³)` complexity accounting.
 #[derive(Debug, Clone)]
 pub struct CircuitModel {
     pub(crate) netlist: Netlist,
     pub(crate) tech: Technology,
-    pub(crate) info: Vec<GateInfo>,
-    pub(crate) topo: Vec<u32>,
+    /// Process-unique identity, part of a `SizeScratch`'s warm-lane key.
+    /// A model never changes after [`CircuitModel::new`], so clones share
+    /// it.
+    pub(crate) id: u64,
+    pub(crate) is_input: Vec<bool>,
+    pub(crate) fanin_count: Vec<f64>,
+    pub(crate) stack: Vec<f64>,
+    pub(crate) activity: Vec<f64>,
+    pub(crate) branch: Vec<Branch>,
+    /// Whether the gate drives a primary-output load: it is an output, or
+    /// it has no sink (a dangling gate still drives a pad). The load
+    /// follows the gate's sinks in every fold.
+    pub(crate) po_load: Vec<bool>,
     /// [`CircuitModel::fingerprint`], computed on first use: the model
     /// is immutable after construction.
     fingerprint: OnceLock<u64>,
@@ -108,55 +112,39 @@ impl CircuitModel {
             netlist.gate_count(),
             "activities must cover every gate of the netlist"
         );
-        let mut info = Vec::with_capacity(netlist.gate_count());
-        for (i, gate) in netlist.gates().iter().enumerate() {
-            let id = GateId::new(i);
-            let is_input = gate.kind() == GateKind::Input;
-            let mut fanout = Vec::new();
-            let branch = wires.branch_length_m(netlist.fanout(id).len().max(1));
-            let (c_int, r_int, flight) = (
-                tech.wire_capacitance(branch),
-                tech.wire_resistance(branch),
-                tech.time_of_flight(branch),
-            );
-            for &sink in netlist.fanout(id) {
-                fanout.push(FanoutEdge {
-                    target: Some(sink.index() as u32),
-                    c_int,
-                    r_int,
-                    flight,
-                });
-            }
-            if netlist.is_output(id) || fanout.is_empty() {
-                fanout.push(FanoutEdge {
-                    target: None,
-                    c_int,
-                    r_int,
-                    flight,
-                });
-            }
-            info.push(GateInfo {
-                is_input,
-                fanin: gate.fanin().iter().map(|f| f.index() as u32).collect(),
-                fanin_count: gate.fanin_count() as f64,
-                stack: gate.kind().series_stack(gate.fanin_count()) as f64,
-                activity: activities.density(id),
-                fanout,
-            });
-        }
-        let topo = netlist
-            .topological_order()
-            .iter()
-            .map(|id| id.index() as u32)
-            .collect();
-        CircuitModel {
+        let n = netlist.gate_count();
+        let mut model = CircuitModel {
             netlist: netlist.clone(),
             tech,
-            info,
-            topo,
+            id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
+            is_input: Vec::with_capacity(n),
+            fanin_count: Vec::with_capacity(n),
+            stack: Vec::with_capacity(n),
+            activity: Vec::with_capacity(n),
+            branch: Vec::with_capacity(n),
+            po_load: Vec::with_capacity(n),
             fingerprint: OnceLock::new(),
             csr: OnceLock::new(),
+        };
+        let tech = &model.tech;
+        for (i, gate) in netlist.gates().iter().enumerate() {
+            let id = GateId::new(i);
+            let sinks = netlist.fanout(id).len();
+            let length = wires.branch_length_m(sinks.max(1));
+            model.is_input.push(gate.kind() == GateKind::Input);
+            model.fanin_count.push(gate.fanin_count() as f64);
+            model
+                .stack
+                .push(gate.kind().series_stack(gate.fanin_count()) as f64);
+            model.activity.push(activities.density(id));
+            model.branch.push(Branch {
+                c_int: tech.wire_capacitance(length),
+                r_int: tech.wire_resistance(length),
+                flight: tech.time_of_flight(length),
+            });
+            model.po_load.push(netlist.is_output(id) || sinks == 0);
         }
+        model
     }
 
     /// Convenience constructor: derives the wiring model from the gate
@@ -180,8 +168,8 @@ impl CircuitModel {
     }
 
     /// The netlist's levelized CSR view, built on first use and then
-    /// shared: the SoA kernel and the warm incremental STA read this one
-    /// copy of the topology.
+    /// shared: every pass of the model and the warm incremental STA read
+    /// this one copy of the topology.
     pub fn csr(&self) -> &Arc<LevelizedCsr> {
         self.csr
             .get_or_init(|| Arc::new(LevelizedCsr::new(&self.netlist)))
@@ -192,9 +180,14 @@ impl CircuitModel {
         &self.tech
     }
 
+    /// Total gate count (primary inputs included).
+    pub fn gate_count(&self) -> usize {
+        self.is_input.len()
+    }
+
     /// The switching activity (transition density) used for gate `id`.
     pub fn activity(&self, id: GateId) -> f64 {
-        self.info[id.index()].activity
+        self.activity[id.index()]
     }
 
     /// A structural digest of the model: netlist name and wiring,
@@ -206,23 +199,35 @@ impl CircuitModel {
         *self.fingerprint.get_or_init(|| self.compute_fingerprint())
     }
 
+    /// The word stream is part of the on-disk format: probe salts, and so
+    /// the job journals that persist them, are keyed on it. Per gate:
+    /// input flag, fanin count and indices, fanin count, stack and
+    /// activity bits, then one `(sink, c_int, r_int, flight)` record per
+    /// fanout branch, with sink `u64::MAX` for the primary-output load.
     fn compute_fingerprint(&self) -> u64 {
         let t = &self.tech;
-        let mut words: Vec<u64> = Vec::with_capacity(8 * self.info.len() + 32);
+        let csr = self.csr();
+        let n = self.gate_count();
+        let mut words: Vec<u64> = Vec::with_capacity(8 * n + 32);
         words.extend(self.netlist.name().bytes().map(u64::from));
-        words.push(self.info.len() as u64);
-        for g in &self.info {
-            words.push(u64::from(g.is_input));
-            words.push(g.fanin.len() as u64);
-            words.extend(g.fanin.iter().map(|&f| u64::from(f)));
-            words.push(g.fanin_count.to_bits());
-            words.push(g.stack.to_bits());
-            words.push(g.activity.to_bits());
-            for e in &g.fanout {
-                words.push(e.target.map_or(u64::MAX, u64::from));
-                words.push(e.c_int.to_bits());
-                words.push(e.r_int.to_bits());
-                words.push(e.flight.to_bits());
+        words.push(n as u64);
+        for i in 0..n {
+            let fanin = csr.fanin_of(i);
+            words.push(u64::from(self.is_input[i]));
+            words.push(fanin.len() as u64);
+            words.extend(fanin.iter().map(|&f| u64::from(f)));
+            words.push(self.fanin_count[i].to_bits());
+            words.push(self.stack[i].to_bits());
+            words.push(self.activity[i].to_bits());
+            let b = self.branch[i];
+            let sinks = csr.fanout_of(i).iter().map(|&s| u64::from(s));
+            for sink in sinks.chain(self.po_load[i].then_some(u64::MAX)) {
+                words.extend([
+                    sink,
+                    b.c_int.to_bits(),
+                    b.r_int.to_bits(),
+                    b.flight.to_bits(),
+                ]);
             }
         }
         for x in [
@@ -252,19 +257,59 @@ impl CircuitModel {
         minpower_engine::fnv1a_words(words)
     }
 
+    /// Calls `load` with the width of every load gate `i` drives, in the
+    /// netlist's fanout order, then with the primary-output load if it
+    /// drives one: the edge order of every per-gate fold.
+    #[inline]
+    pub(crate) fn for_each_load(
+        &self,
+        csr: &LevelizedCsr,
+        i: usize,
+        width: &[f64],
+        mut load: impl FnMut(f64),
+    ) {
+        for &s in csr.fanout_of(i) {
+            load(width[s as usize]);
+        }
+        if self.po_load[i] {
+            load(PO_LOAD_WIDTHS);
+        }
+    }
+
+    /// Gate `i`'s output load capacitance at width `w` and its worst
+    /// branch wire delay (RC plus time of flight), folded over its loads.
+    #[inline]
+    fn load(&self, csr: &LevelizedCsr, i: usize, w: f64, width: &[f64]) -> (f64, f64) {
+        let tech = &self.tech;
+        let b = self.branch[i];
+        let mut c_load = w * tech.c_pd;
+        let mut t_wire: f64 = 0.0;
+        self.for_each_load(csr, i, width, |sink_w| {
+            let c_sink = sink_w * tech.c_in;
+            c_load += c_sink + b.c_int;
+            t_wire = t_wire.max(b.r_int * (c_sink + b.c_int / 2.0) + b.flight);
+        });
+        (c_load, t_wire)
+    }
+
     /// Worst-case delay of gate `id` under `design`, given the largest
     /// delay among the gates driving it (Eq. A3).
+    ///
+    /// This is the reference formula: it calls the device functions
+    /// directly, and the dense passes ([`CircuitModel::delays_into`]) and
+    /// the batched sizing sweep must reproduce it bit for bit. The
+    /// single-gate repair and the sizers' move probes use it.
     ///
     /// Returns `f64::INFINITY` when the operating point cannot switch the
     /// gate (drive current no larger than the opposing leakage).
     pub fn gate_delay(&self, design: &Design, id: GateId, max_fanin_delay: f64) -> f64 {
-        let g = &self.info[id.index()];
-        if g.is_input {
+        let i = id.index();
+        if self.is_input[i] {
             return 0.0;
         }
         let vdd = design.vdd;
-        let vt = design.vt[id.index()];
-        let w = design.width[id.index()];
+        let vt = design.vt[i];
+        let w = design.width[i];
         let tech = &self.tech;
 
         // Input-slope contribution: [1/2 − (1 − Vts/Vdd)/(1 + α)]·max t_dij.
@@ -273,29 +318,49 @@ impl CircuitModel {
 
         // Switching term: series-stack-derated drive fighting the leakage
         // of the complementary network.
-        let i_on = tech.drive_current(w, vdd, vt) / g.stack;
-        let i_leak = g.fanin_count * tech.off_current(w, vt);
+        let i_on = tech.drive_current(w, vdd, vt) / self.stack[i];
+        let i_leak = self.fanin_count[i] * tech.off_current(w, vt);
         let i_drive = i_on - i_leak;
         if i_drive <= 0.0 {
             return f64::INFINITY;
         }
-        let mut c_load = w * tech.c_pd;
-        let mut t_wire: f64 = 0.0;
-        for edge in &g.fanout {
-            let sink_w = match edge.target {
-                Some(t) => design.width[t as usize],
-                None => PO_LOAD_WIDTHS,
-            };
-            let c_sink = sink_w * tech.c_in;
-            c_load += c_sink + edge.c_int;
-            t_wire = t_wire.max(edge.r_int * (c_sink + edge.c_int / 2.0) + edge.flight);
-        }
+        let (c_load, t_wire) = self.load(self.csr(), i, w, &design.width);
         let t_switch = vdd / 2.0 * c_load / i_drive;
 
         // Intermediate-node discharge of the series stack.
-        let t_internal =
-            (g.fanin_count - 1.0).max(0.0) * tech.c_mi * w * vdd / tech.drive_current(w, vdd, vt);
+        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd
+            / tech.drive_current(w, vdd, vt);
 
+        t_slope + t_switch + t_internal + t_wire
+    }
+
+    /// [`CircuitModel::gate_delay`] of logic gate `i` with its `(vdd, vt)`
+    /// device terms taken from `terms`. `k_drive·w·od_pow` and
+    /// `w·leak_per_w` multiply in the order of `drive_current` /
+    /// `off_current`, so the value is bitwise the reference one.
+    #[inline]
+    fn memo_gate_delay(
+        &self,
+        csr: &LevelizedCsr,
+        terms: &VtTerms,
+        design: &Design,
+        i: usize,
+        max_fanin_delay: f64,
+    ) -> f64 {
+        let vdd = design.vdd;
+        let w = design.width[i];
+        let tech = &self.tech;
+        let t_slope = terms.slope_coeff * max_fanin_delay;
+        let i_full = tech.k_drive * w * terms.od_pow;
+        let i_on = i_full / self.stack[i];
+        let i_leak = self.fanin_count[i] * (w * terms.leak_per_w);
+        let i_drive = i_on - i_leak;
+        if i_drive <= 0.0 {
+            return f64::INFINITY;
+        }
+        let (c_load, t_wire) = self.load(csr, i, w, &design.width);
+        let t_switch = vdd / 2.0 * c_load / i_drive;
+        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd / i_full;
         t_slope + t_switch + t_internal + t_wire
     }
 
@@ -310,14 +375,29 @@ impl CircuitModel {
 
     /// [`CircuitModel::delays`] into a caller-owned buffer — the
     /// allocation-free variant for callers that recompute in a loop.
-    /// Produces exactly the vector [`CircuitModel::delays`] would.
+    ///
+    /// One levelized sweep over [`CircuitModel::csr`]. The `(vdd, vt)`
+    /// device terms of [`CircuitModel::gate_delay`] (two `powf`s, an
+    /// `exp`/`ln_1p`) are recomputed only when a gate's Vt differs from
+    /// the last logic gate's, and every value is bitwise the reference
+    /// formula's.
     pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
+        let csr = self.csr();
         delays.clear();
-        delays.resize(self.info.len(), 0.0);
-        for &i in &self.topo {
-            let id = GateId::new(i as usize);
-            let max_fanin = self.max_fanin_delay(delays, i as usize);
-            delays[i as usize] = self.gate_delay(design, id, max_fanin);
+        delays.resize(self.gate_count(), 0.0);
+        let mut memo = VtMemo::new(&self.tech, design.vdd);
+        for &i in csr.order() {
+            let i = i as usize;
+            if self.is_input[i] {
+                continue;
+            }
+            let max_fanin = csr
+                .fanin_of(i)
+                .iter()
+                .map(|&f| delays[f as usize])
+                .fold(0.0, f64::max);
+            let terms = memo.get(design.vt[i]);
+            delays[i] = self.memo_gate_delay(csr, terms, design, i, max_fanin);
         }
     }
 
@@ -333,28 +413,28 @@ impl CircuitModel {
         arrival: &mut Vec<f64>,
     ) -> f64 {
         self.delays_into(design, delays);
+        let csr = self.csr();
         arrival.clear();
-        arrival.resize(self.info.len(), 0.0);
-        for &i in &self.topo {
-            let idx = i as usize;
-            let latest = self.info[idx]
-                .fanin
+        arrival.resize(self.gate_count(), 0.0);
+        for &i in csr.order() {
+            let i = i as usize;
+            let latest = csr
+                .fanin_of(i)
                 .iter()
                 .map(|&f| arrival[f as usize])
                 .fold(0.0, f64::max);
-            arrival[idx] = latest + delays[idx];
+            arrival[i] = latest + delays[i];
         }
-        self.netlist
-            .outputs()
+        csr.outputs()
             .iter()
-            .map(|&o| arrival[o.index()])
+            .map(|&o| arrival[o as usize])
             .fold(0.0, f64::max)
     }
 
     /// The largest delay among the drivers of gate `index`.
     pub fn max_fanin_delay(&self, delays: &[f64], index: usize) -> f64 {
-        self.info[index]
-            .fanin
+        self.csr()
+            .fanin_of(index)
             .iter()
             .map(|&f| delays[f as usize])
             .fold(0.0, f64::max)
@@ -383,9 +463,10 @@ impl CircuitModel {
         changed: GateId,
         mut on_change: impl FnMut(usize, f64),
     ) {
-        assert_eq!(delays.len(), self.info.len());
+        let n = self.gate_count();
+        assert_eq!(delays.len(), n);
+        let csr = self.csr();
         // Seed: the changed gate and its drivers (whose load changed).
-        let n = self.info.len();
         let mut dirty = vec![false; n];
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>> =
             std::collections::BinaryHeap::new();
@@ -393,12 +474,12 @@ impl CircuitModel {
             |heap: &mut std::collections::BinaryHeap<_>, dirty: &mut Vec<bool>, idx: usize| {
                 if !dirty[idx] {
                     dirty[idx] = true;
-                    let level = self.netlist.level(GateId::new(idx)) as u32;
+                    let level = csr.level_of(idx) as u32;
                     heap.push(std::cmp::Reverse((level, idx as u32)));
                 }
             };
         push(&mut heap, &mut dirty, changed.index());
-        for &f in &self.info[changed.index()].fanin {
+        for &f in csr.fanin_of(changed.index()) {
             push(&mut heap, &mut dirty, f as usize);
         }
         // Process in level order so every recompute sees final upstream
@@ -406,205 +487,186 @@ impl CircuitModel {
         while let Some(std::cmp::Reverse((_, idx))) = heap.pop() {
             let i = idx as usize;
             dirty[i] = false;
-            let id = GateId::new(i);
-            if self.info[i].is_input {
+            if self.is_input[i] {
                 continue;
             }
             let max_fanin = self.max_fanin_delay(delays, i);
-            let new = self.gate_delay(design, id, max_fanin);
+            let new = self.gate_delay(design, GateId::new(i), max_fanin);
             // Bitwise comparison, not an epsilon: propagation must stop
             // only when the value is *exactly* the full-recompute fixed
             // point, or repeated repairs could drift from a dense pass.
             if new.to_bits() != delays[i].to_bits() {
                 on_change(i, delays[i]);
                 delays[i] = new;
-                for edge in &self.info[i].fanout {
-                    if let Some(t) = edge.target {
-                        push(&mut heap, &mut dirty, t as usize);
-                    }
+                for &t in csr.fanout_of(i) {
+                    push(&mut heap, &mut dirty, t as usize);
                 }
             }
         }
     }
 
-    /// Static energy per cycle of gate `id` (Eq. A1), joules.
-    pub fn gate_static_energy(&self, design: &Design, id: GateId, fc: f64) -> f64 {
-        let g = &self.info[id.index()];
-        if g.is_input {
-            return 0.0;
-        }
-        design.vdd
-            * self
-                .tech
-                .off_current(design.width[id.index()], design.vt[id.index()])
-            / fc
+    /// Static (Eq. A1) and dynamic (Eq. A2) energy per cycle of gate
+    /// `id`, joules. The one per-gate energy formula: every total and
+    /// ledger term is a sum of its values.
+    pub fn gate_energy(&self, design: &Design, id: GateId, fc: f64) -> EnergyBreakdown {
+        self.gate_energy_in(self.csr(), design, id.index(), fc)
     }
 
-    /// Dynamic energy per cycle of gate `id` (Eq. A2), joules.
-    pub fn gate_dynamic_energy(&self, design: &Design, id: GateId) -> f64 {
-        let g = &self.info[id.index()];
-        if g.is_input {
-            return 0.0;
+    #[inline]
+    fn gate_energy_in(
+        &self,
+        csr: &LevelizedCsr,
+        design: &Design,
+        i: usize,
+        fc: f64,
+    ) -> EnergyBreakdown {
+        if self.is_input[i] {
+            return EnergyBreakdown::default();
         }
         let tech = &self.tech;
-        let w = design.width[id.index()];
-        let mut c_sw = w * tech.c_pd + (g.fanin_count - 1.0).max(0.0) * tech.c_mi * w;
-        for edge in &g.fanout {
-            let sink_w = match edge.target {
-                Some(t) => design.width[t as usize],
-                None => PO_LOAD_WIDTHS,
-            };
-            c_sw += sink_w * tech.c_in + edge.c_int;
-        }
-        0.5 * g.activity * design.vdd * design.vdd * c_sw
+        let vdd = design.vdd;
+        let w = design.width[i];
+        let static_ = vdd * tech.off_current(w, design.vt[i]) / fc;
+        let c_int = self.branch[i].c_int;
+        let mut c_sw = w * tech.c_pd + (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w;
+        self.for_each_load(csr, i, &design.width, |sink_w| {
+            c_sw += sink_w * tech.c_in + c_int;
+        });
+        EnergyBreakdown::new(static_, 0.5 * self.activity[i] * vdd * vdd * c_sw)
     }
 
-    /// Total static + dynamic energy per cycle over all gates, joules.
+    /// Every gate's energy terms, in gate index order.
+    fn energy_terms<'a>(
+        &'a self,
+        design: &'a Design,
+        fc: f64,
+    ) -> impl Iterator<Item = EnergyBreakdown> + 'a {
+        let csr = self.csr();
+        (0..self.gate_count()).map(move |i| self.gate_energy_in(csr, design, i, fc))
+    }
+
+    /// Total static + dynamic energy per cycle over all gates, joules:
+    /// the gate-index-order sum of [`CircuitModel::gate_energy`].
     pub fn total_energy(&self, design: &Design, fc: f64) -> EnergyBreakdown {
-        let mut total = EnergyBreakdown::default();
-        for i in 0..self.info.len() {
-            let id = GateId::new(i);
-            total.static_ += self.gate_static_energy(design, id, fc);
-            total.dynamic += self.gate_dynamic_energy(design, id);
-        }
-        total
+        self.energy_terms(design, fc).sum()
     }
 
-    /// Builds an [`EnergyLedger`] over `design`: per-gate energy terms
-    /// plus a delta-maintained total, for sizing loops that change one
-    /// width at a time.
+    /// Builds an [`EnergyLedger`] over `design`: per-gate energy terms,
+    /// for sizing loops that change one width at a time.
     pub fn energy_ledger(&self, design: &Design, fc: f64) -> EnergyLedger {
-        let terms: Vec<EnergyBreakdown> = (0..self.info.len())
-            .map(|i| {
-                let id = GateId::new(i);
-                EnergyBreakdown::new(
-                    self.gate_static_energy(design, id, fc),
-                    self.gate_dynamic_energy(design, id),
-                )
-            })
-            .collect();
-        let mut running = EnergyBreakdown::default();
-        for t in &terms {
-            running.static_ += t.static_;
-            running.dynamic += t.dynamic;
+        EnergyLedger {
+            terms: self.energy_terms(design, fc).collect(),
+            fc,
         }
-        EnergyLedger { terms, running, fc }
     }
 
     /// Full evaluation: delays, arrivals, critical path, per-gate and
     /// total energy.
     pub fn evaluate(&self, design: &Design, fc: f64) -> CircuitEval {
-        let delays = self.delays(design);
-        let mut arrival = vec![0.0f64; self.info.len()];
-        for &i in &self.topo {
-            let idx = i as usize;
-            let latest = self.info[idx]
-                .fanin
-                .iter()
-                .map(|&f| arrival[f as usize])
-                .fold(0.0, f64::max);
-            arrival[idx] = latest + delays[idx];
-        }
-        let critical_delay = self
-            .netlist
-            .outputs()
+        let (mut delays, mut arrival) = (Vec::new(), Vec::new());
+        let critical_delay = self.timing_into(design, &mut delays, &mut arrival);
+        let gates: Vec<GateEval> = delays
             .iter()
-            .map(|&o| arrival[o.index()])
-            .fold(0.0, f64::max);
-        let mut gates = Vec::with_capacity(self.info.len());
-        let mut energy = EnergyBreakdown::default();
-        for (i, &delay) in delays.iter().enumerate() {
-            let id = GateId::new(i);
-            let e = EnergyBreakdown::new(
-                self.gate_static_energy(design, id, fc),
-                self.gate_dynamic_energy(design, id),
-            );
-            energy = energy + e;
-            gates.push(GateEval { delay, energy: e });
-        }
+            .zip(self.energy_terms(design, fc))
+            .map(|(&delay, energy)| GateEval { delay, energy })
+            .collect();
         CircuitEval {
+            energy: gates.iter().map(|g| g.energy).sum(),
             gates,
             arrival,
             critical_delay,
-            energy,
         }
     }
 }
 
-/// Per-gate [`EnergyBreakdown`] terms with a delta-maintained sum.
+/// The terms of [`CircuitModel::gate_delay`] that depend on `(vdd, vt)`
+/// alone: the transcendentals of the slope coefficient, `drive_current`
+/// and `off_current`, with the width factored out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VtTerms {
+    /// `max(1/2 − (1 − vt/vdd)/(1 + α), 0)`, the input-slope coefficient.
+    pub(crate) slope_coeff: f64,
+    /// `overdrive(vdd, vt)^α`: `drive_current(w) = k_drive·w·od_pow`.
+    pub(crate) od_pow: f64,
+    /// `off_current(w, vt) = w·leak_per_w`.
+    pub(crate) leak_per_w: f64,
+}
+
+impl VtTerms {
+    fn new(tech: &Technology, vdd: f64, vt: f64) -> Self {
+        VtTerms {
+            slope_coeff: (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0),
+            od_pow: tech.overdrive(vdd, vt).powf(tech.alpha),
+            leak_per_w: tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
+        }
+    }
+}
+
+/// One-entry memo of [`VtTerms`] at a fixed Vdd, keyed on the bits of
+/// the last Vt asked for. A uniform-Vt design pays the transcendentals
+/// once per pass; any Vt change (`-0.0` vs `0.0` included) recomputes.
+/// Invariant: `terms == VtTerms::new(tech, vdd, f64::from_bits(key))`.
+pub(crate) struct VtMemo<'a> {
+    tech: &'a Technology,
+    vdd: f64,
+    key: u64,
+    terms: VtTerms,
+}
+
+impl<'a> VtMemo<'a> {
+    pub(crate) fn new(tech: &'a Technology, vdd: f64) -> Self {
+        VtMemo {
+            tech,
+            vdd,
+            key: 0f64.to_bits(),
+            terms: VtTerms::new(tech, vdd, 0.0),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn get(&mut self, vt: f64) -> &VtTerms {
+        if vt.to_bits() != self.key {
+            self.key = vt.to_bits();
+            self.terms = VtTerms::new(self.tech, self.vdd, vt);
+        }
+        &self.terms
+    }
+}
+
+/// Per-gate [`EnergyBreakdown`] terms of one design, kept current one
+/// width change at a time.
 ///
 /// A width change at gate `g` perturbs only `g`'s own terms (its static
 /// leakage and the self-load part of its dynamic energy) and the dynamic
 /// terms of `g`'s *fanins*, whose output load moved — an `O(cone)` update
-/// instead of the `O(E)` full [`CircuitModel::total_energy`] pass.
-///
-/// Floating-point addition is not associative, so the running delta total
-/// is *close to* but not bitwise-equal to a dense re-sum. Callers that
-/// must report a total bit-identical to [`CircuitModel::total_energy`]
-/// (the determinism contract of the sizing paths) use
-/// [`exact_total`](EnergyLedger::exact_total): an index-order re-sum of
-/// the per-gate terms, each of which *is* bitwise-equal to its dense
-/// counterpart, at `O(N)` without any `O(fanout)` energy recomputation.
+/// instead of the `O(E)` full [`CircuitModel::total_energy`] pass. Each
+/// term is bitwise its dense counterpart, so
+/// [`exact_total`](EnergyLedger::exact_total), an index-order re-sum, is
+/// bitwise [`CircuitModel::total_energy`] at `O(N)` without any
+/// `O(fanout)` energy recomputation.
 #[derive(Debug, Clone)]
 pub struct EnergyLedger {
     terms: Vec<EnergyBreakdown>,
-    running: EnergyBreakdown,
     fc: f64,
 }
 
 impl EnergyLedger {
     /// Refreshes the terms of `changed` and its fanins after
-    /// `design.width[changed]` was modified, returning how many gate
-    /// terms were touched. `model` and `design` must be the ones the
-    /// ledger was built over (with only accepted width edits applied).
-    pub fn on_width_change(
-        &mut self,
-        model: &CircuitModel,
-        design: &Design,
-        changed: GateId,
-    ) -> usize {
-        self.refresh(model, design, changed.index());
-        let mut touched = 1;
-        for &f in &model.info[changed.index()].fanin {
-            self.refresh(model, design, f as usize);
-            touched += 1;
+    /// `design.width[changed]` was modified. `model` and `design` must be
+    /// the ones the ledger was built over (with only accepted width edits
+    /// applied).
+    pub fn on_width_change(&mut self, model: &CircuitModel, design: &Design, changed: GateId) {
+        let csr = model.csr();
+        let i = changed.index();
+        for g in std::iter::once(i).chain(csr.fanin_of(i).iter().map(|&f| f as usize)) {
+            self.terms[g] = model.gate_energy_in(csr, design, g, self.fc);
         }
-        touched
-    }
-
-    fn refresh(&mut self, model: &CircuitModel, design: &Design, i: usize) {
-        let id = GateId::new(i);
-        let new = EnergyBreakdown::new(
-            model.gate_static_energy(design, id, self.fc),
-            model.gate_dynamic_energy(design, id),
-        );
-        let old = self.terms[i];
-        self.running.static_ += new.static_ - old.static_;
-        self.running.dynamic += new.dynamic - old.dynamic;
-        self.terms[i] = new;
-    }
-
-    /// The delta-maintained total — cheap, but carries the usual
-    /// floating-point drift of an incremental sum. Good for move scoring,
-    /// not for reported results.
-    pub fn running_total(&self) -> EnergyBreakdown {
-        self.running
     }
 
     /// Index-order re-sum of the per-gate terms: bitwise-identical to
     /// [`CircuitModel::total_energy`] over the same design.
     pub fn exact_total(&self) -> EnergyBreakdown {
-        let mut total = EnergyBreakdown::default();
-        for t in &self.terms {
-            total.static_ += t.static_;
-            total.dynamic += t.dynamic;
-        }
-        total
-    }
-
-    /// The current energy term of gate `id`.
-    pub fn term(&self, id: GateId) -> EnergyBreakdown {
-        self.terms[id.index()]
+        self.terms.iter().copied().sum()
     }
 }
 
@@ -853,37 +915,25 @@ mod tests {
         let mut d = Design::uniform(&n, 2.0, 0.35, 3.0);
         let fc = 3e8;
         let mut ledger = m.energy_ledger(&d, fc);
-        let dense = m.total_energy(&d, fc);
-        assert_eq!(
-            ledger.exact_total().static_.to_bits(),
-            dense.static_.to_bits()
-        );
-        assert_eq!(
-            ledger.exact_total().dynamic.to_bits(),
-            dense.dynamic.to_bits()
-        );
+        // The ledger's total against the dense pass, and each term against
+        // the per-gate formula, bit for bit.
+        let assert_dense = |ledger: &EnergyLedger, d: &Design| {
+            let exact = ledger.exact_total();
+            let dense = m.total_energy(d, fc);
+            assert_eq!(exact.static_.to_bits(), dense.static_.to_bits());
+            assert_eq!(exact.dynamic.to_bits(), dense.dynamic.to_bits());
+            for (i, term) in ledger.terms.iter().enumerate() {
+                let want = m.gate_energy(d, GateId::new(i), fc);
+                assert_eq!(term.static_.to_bits(), want.static_.to_bits(), "{i}");
+                assert_eq!(term.dynamic.to_bits(), want.dynamic.to_bits(), "{i}");
+            }
+        };
+        assert_dense(&ledger, &d);
         for (name, w) in [("n1", 9.0), ("n4", 1.5), ("n1", 2.0)] {
             let id = n.find(name).unwrap();
             d.width[id.index()] = w;
-            let touched = ledger.on_width_change(&m, &d, id);
-            assert!(touched >= 2, "gate plus at least one fanin");
-            let dense = m.total_energy(&d, fc);
-            // The exact total is bit-identical to the dense pass; the
-            // running total only approximately so.
-            assert_eq!(
-                ledger.exact_total().static_.to_bits(),
-                dense.static_.to_bits()
-            );
-            assert_eq!(
-                ledger.exact_total().dynamic.to_bits(),
-                dense.dynamic.to_bits()
-            );
-            let drift = (ledger.running_total().total() - dense.total()).abs();
-            assert!(drift <= 1e-9 * dense.total().abs().max(1e-30));
-            assert_eq!(
-                ledger.term(id).static_.to_bits(),
-                m.gate_static_energy(&d, id, fc).to_bits()
-            );
+            ledger.on_width_change(&m, &d, id);
+            assert_dense(&ledger, &d);
         }
     }
 

@@ -20,8 +20,13 @@
 //!
 //! The optimizer in `minpower-core` calls these evaluations `O(M³)` times,
 //! so construction precomputes all structure-dependent quantities
-//! (activities, stack depths, fanout adjacency with interconnect loads)
-//! and evaluation is a single `O(E)` pass.
+//! (activities, stack depths, interconnect loads) once, in flat per-gate
+//! arrays over the netlist's shared levelized CSR, and evaluation is a
+//! single `O(E)` pass that computes each distinct `(V_dd, V_t)` device
+//! term once. One scalar per-gate delay formula
+//! ([`CircuitModel::gate_delay`]) calls the device functions directly; it
+//! is the oracle the dense passes and the batched sizing sweep
+//! ([`CircuitModel::size_sweep`], see [`soa`]) reproduce bit for bit.
 //!
 //! # Example
 //!

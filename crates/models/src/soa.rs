@@ -1,22 +1,19 @@
-//! Levelized structure-of-arrays evaluation kernel with batched
-//! speculative width probes.
+//! Batched speculative width probes: the sizing sweep of Procedure 2.
 //!
-//! [`CircuitModel`] stores per-gate `Vec`s behind a `Vec` of structs —
-//! fine at ISCAS scale, but a pointer chase per gate once netlists reach
-//! 10⁵–10⁶ gates. [`SoaKernel`] flattens the model once into contiguous
-//! parallel arrays (per-gate constants, fanout edges in CSR form, a
-//! [`LevelizedCsr`] over the netlist) so a full delay/arrival/energy pass
-//! is a few tight sweeps over flat `f64` buffers.
-//!
-//! The kernel also batches the innermost loop of Procedure 2. The scalar
-//! sizer bisects each gate's width with `M` sequential `gate_delay`
-//! probes, and every probe re-derives the gate's width-independent terms —
-//! two `powf`s, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
-//! embarrassingly independent across gates (each bisection reads only
-//! *previous-sweep* sink widths and the fixed budget vector), so
-//! [`SoaKernel::size_sweep`] hoists those invariants once per gate ("lane")
-//! and bisects the lanes in 4-lane lockstep blocks against the hoisted
-//! constants — a handful of mul/add per probe instead of a full
+//! [`CircuitModel`] holds its per-gate constants in flat arrays over the
+//! netlist's shared [`LevelizedCsr`](minpower_netlist::LevelizedCsr), so
+//! its dense delay/arrival/energy passes are a few tight sweeps over
+//! contiguous buffers. This module adds the innermost loop of Procedure
+//! 2 on the same layout. The reference sizer
+//! ([`CircuitModel::scalar_size_sweep`]) bisects each gate's width with
+//! `M` sequential [`CircuitModel::gate_delay`] probes, and every probe
+//! re-derives the gate's width-independent terms — two `powf`s, an
+//! `exp`/`ln_1p`, the wire RC fold. One sizing sweep is embarrassingly
+//! independent across gates (each bisection reads only *previous-sweep*
+//! sink widths and the fixed budget vector), so
+//! [`CircuitModel::size_sweep`] hoists those invariants once per gate
+//! ("lane") and bisects the lanes in 4-lane lockstep blocks against the
+//! hoisted constants — a handful of mul/add per probe instead of a full
 //! `gate_delay`, four independent probe chains in flight at once.
 //!
 //! The same independence makes a lane's result a pure function of the
@@ -25,241 +22,23 @@
 //! inputs are bitwise unchanged takes its remembered width instead of
 //! being bisected again ("warm lanes").
 //!
-//! Bit-identity contract: every method here produces bitwise the value of
-//! its [`CircuitModel`] counterpart. The hoists are exact — `drive_current
-//! = (k·w)·overdrive^α` factors the `powf` out of the width loop without
-//! reassociating anything width-dependent, `off_current = w·leak_per_w`
-//! likewise — and per-gate fold orders (fanin order, fanout edge order,
-//! gate index order for energy sums) are preserved by construction.
-//! `minpower-core` cross-checks the batched sweep against the scalar one
-//! gate-for-gate in debug builds.
+//! Bit-identity contract: [`CircuitModel::size_sweep`] commits bitwise
+//! the widths of [`CircuitModel::scalar_size_sweep`]. The hoists are
+//! exact — `drive_current = (k·w)·overdrive^α` factors the `powf` out of
+//! the width loop without reassociating anything width-dependent,
+//! `off_current = w·leak_per_w` likewise — and per-gate fold orders
+//! (fanin order, fanout order with the output load last) are preserved.
+//! `minpower-core` cross-checks the batched sweep against the reference
+//! one gate-for-gate in debug builds.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use minpower_netlist::LevelizedCsr;
-
-use crate::circuit::{CircuitModel, PO_LOAD_WIDTHS};
+use crate::circuit::{CircuitModel, VtMemo};
 use crate::design::Design;
 use crate::energy::EnergyBreakdown;
 
-/// Sentinel sink index for a primary-output load (the `None` edge target
-/// of the model's fanout list).
-const PO_SENTINEL: u32 = u32::MAX;
-
-/// Lanes bisected together, step by step, in [`SoaKernel::size_sweep`].
+/// Lanes bisected together, step by step, in [`CircuitModel::size_sweep`].
 const BLOCK: usize = 4;
 
-/// Source of [`SoaKernel`] identities (see `SoaKernel::id`).
-static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Flat, levelized mirror of a [`CircuitModel`]: per-gate constants and
-/// fanout edges as parallel arrays. See the [module docs](self).
-#[derive(Debug, Clone)]
-pub struct SoaKernel {
-    /// Process-unique identity, part of [`SizeScratch`]'s warm-lane key.
-    /// A kernel never changes after [`SoaKernel::new`], so clones share it.
-    id: u64,
-    csr: Arc<LevelizedCsr>,
-    tech: minpower_device::Technology,
-    is_input: Vec<bool>,
-    fanin_count: Vec<f64>,
-    stack: Vec<f64>,
-    activity: Vec<f64>,
-    /// CSR offsets into the edge arrays; includes the pseudo-edges the
-    /// model appends for primary-output loads.
-    edge_offsets: Vec<u32>,
-    /// Sink gate index per edge, or [`PO_SENTINEL`] for an output load.
-    edge_target: Vec<u32>,
-    edge_c_int: Vec<f64>,
-    edge_r_int: Vec<f64>,
-    edge_flight: Vec<f64>,
-}
-
-impl SoaKernel {
-    /// Flattens `model` into SoA buffers. `O(V + E)`.
-    pub fn new(model: &CircuitModel) -> Self {
-        let n = model.info.len();
-        let mut kernel = SoaKernel {
-            id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
-            csr: Arc::clone(model.csr()),
-            tech: model.tech.clone(),
-            is_input: Vec::with_capacity(n),
-            fanin_count: Vec::with_capacity(n),
-            stack: Vec::with_capacity(n),
-            activity: Vec::with_capacity(n),
-            edge_offsets: Vec::with_capacity(n + 1),
-            edge_target: Vec::new(),
-            edge_c_int: Vec::new(),
-            edge_r_int: Vec::new(),
-            edge_flight: Vec::new(),
-        };
-        kernel.edge_offsets.push(0);
-        for g in &model.info {
-            kernel.is_input.push(g.is_input);
-            kernel.fanin_count.push(g.fanin_count);
-            kernel.stack.push(g.stack);
-            kernel.activity.push(g.activity);
-            for e in &g.fanout {
-                kernel.edge_target.push(e.target.unwrap_or(PO_SENTINEL));
-                kernel.edge_c_int.push(e.c_int);
-                kernel.edge_r_int.push(e.r_int);
-                kernel.edge_flight.push(e.flight);
-            }
-            kernel.edge_offsets.push(kernel.edge_target.len() as u32);
-        }
-        kernel
-    }
-
-    /// The levelized index view the kernel sweeps over: the model's
-    /// shared [`CircuitModel::csr`].
-    pub fn csr(&self) -> &LevelizedCsr {
-        &self.csr
-    }
-
-    /// Total gate count (primary inputs included).
-    pub fn gate_count(&self) -> usize {
-        self.is_input.len()
-    }
-
-    /// The fanout-edge range of gate `i` in the flat edge arrays.
-    #[inline]
-    fn edges(&self, i: usize) -> std::ops::Range<usize> {
-        self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize
-    }
-
-    /// [`CircuitModel::gate_delay`] of logic gate `i` over the flat
-    /// arrays, given its `(vdd, vt)` device terms. `k_drive·w·od_pow` and
-    /// `w·leak_per_w` multiply in the order of `drive_current` /
-    /// `off_current`, so the value is bitwise the scalar one.
-    #[inline]
-    fn gate_delay(&self, terms: &VtTerms, design: &Design, i: usize, max_fanin_delay: f64) -> f64 {
-        let vdd = design.vdd;
-        let w = design.width[i];
-        let tech = &self.tech;
-
-        let t_slope = terms.slope_coeff * max_fanin_delay;
-
-        let i_full = tech.k_drive * w * terms.od_pow;
-        let i_on = i_full / self.stack[i];
-        let i_leak = self.fanin_count[i] * (w * terms.leak_per_w);
-        let i_drive = i_on - i_leak;
-        if i_drive <= 0.0 {
-            return f64::INFINITY;
-        }
-        let mut c_load = w * tech.c_pd;
-        let mut t_wire: f64 = 0.0;
-        for e in self.edges(i) {
-            let t = self.edge_target[e];
-            let sink_w = if t == PO_SENTINEL {
-                PO_LOAD_WIDTHS
-            } else {
-                design.width[t as usize]
-            };
-            let c_sink = sink_w * tech.c_in;
-            c_load += c_sink + self.edge_c_int[e];
-            t_wire = t_wire.max(
-                self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
-            );
-        }
-        let t_switch = vdd / 2.0 * c_load / i_drive;
-
-        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd / i_full;
-
-        t_slope + t_switch + t_internal + t_wire
-    }
-
-    /// [`CircuitModel::delays_into`] as a levelized sweep: bitwise the
-    /// same vector, one contiguous pass per level. The `(vdd, vt)` device
-    /// terms are recomputed only when a gate's Vt differs from the last
-    /// logic gate's.
-    pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
-        delays.clear();
-        delays.resize(self.gate_count(), 0.0);
-        let mut memo = VtMemo::new(&self.tech, design.vdd);
-        for &i in self.csr.order() {
-            let i = i as usize;
-            if self.is_input[i] {
-                continue;
-            }
-            let max_fanin = self
-                .csr
-                .fanin_of(i)
-                .iter()
-                .map(|&f| delays[f as usize])
-                .fold(0.0, f64::max);
-            let terms = memo.get(design.vt[i]);
-            delays[i] = self.gate_delay(terms, design, i, max_fanin);
-        }
-    }
-
-    /// [`CircuitModel::timing_into`]: delays plus the arrival sweep,
-    /// returning the critical delay. Bitwise the dense values.
-    pub fn timing_into(
-        &self,
-        design: &Design,
-        delays: &mut Vec<f64>,
-        arrival: &mut Vec<f64>,
-    ) -> f64 {
-        self.delays_into(design, delays);
-        arrival.clear();
-        arrival.resize(self.gate_count(), 0.0);
-        for &i in self.csr.order() {
-            let i = i as usize;
-            let latest = self
-                .csr
-                .fanin_of(i)
-                .iter()
-                .map(|&f| arrival[f as usize])
-                .fold(0.0, f64::max);
-            arrival[i] = latest + delays[i];
-        }
-        self.csr
-            .outputs()
-            .iter()
-            .map(|&o| arrival[o as usize])
-            .fold(0.0, f64::max)
-    }
-
-    /// [`CircuitModel::gate_static_energy`] over the flat arrays.
-    pub fn gate_static_energy(&self, design: &Design, i: usize, fc: f64) -> f64 {
-        if self.is_input[i] {
-            return 0.0;
-        }
-        design.vdd * self.tech.off_current(design.width[i], design.vt[i]) / fc
-    }
-
-    /// [`CircuitModel::gate_dynamic_energy`] over the flat arrays.
-    pub fn gate_dynamic_energy(&self, design: &Design, i: usize) -> f64 {
-        if self.is_input[i] {
-            return 0.0;
-        }
-        let tech = &self.tech;
-        let w = design.width[i];
-        let mut c_sw = w * tech.c_pd + (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w;
-        for e in self.edges(i) {
-            let t = self.edge_target[e];
-            let sink_w = if t == PO_SENTINEL {
-                PO_LOAD_WIDTHS
-            } else {
-                design.width[t as usize]
-            };
-            c_sw += sink_w * tech.c_in + self.edge_c_int[e];
-        }
-        0.5 * self.activity[i] * design.vdd * design.vdd * c_sw
-    }
-
-    /// [`CircuitModel::total_energy`]: index-order accumulation, bitwise
-    /// the dense breakdown.
-    pub fn total_energy(&self, design: &Design, fc: f64) -> EnergyBreakdown {
-        let mut total = EnergyBreakdown::default();
-        for i in 0..self.gate_count() {
-            total.static_ += self.gate_static_energy(design, i, fc);
-            total.dynamic += self.gate_dynamic_energy(design, i);
-        }
-        total
-    }
-
+impl CircuitModel {
     /// One fixed-point width-sizing sweep of Procedure 2, batched: each
     /// gate's width-independent terms (slope, wire RC, `overdrive^α`,
     /// per-width leakage, load terms from previous-sweep sink widths) are
@@ -270,25 +49,20 @@ impl SoaKernel {
     /// the last lane's Vt, so their transcendentals are paid once per
     /// distinct Vt run, not per gate.
     ///
-    /// Semantics are exactly the scalar sweep of the budgeted sizer: each
-    /// gate's width is bisected to the smallest value whose delay meets
-    /// `budgets[i] * margin`, with the slope-term input
-    /// `max(min(budget, 1.05 × last_delay))` over its fanins, the
-    /// minimum-width endpoint tried after the bisection, and the maximum
-    /// width kept when no probe was feasible. Within one sweep gates are
-    /// independent — a gate's probes read only sink widths (strictly later
-    /// levels, untouched until the gate itself is visited) and the fixed
-    /// `budgets` / `last_delays` — so any interleaving of the lanes that
-    /// hoists each gate before its sinks commit produces bitwise the
-    /// widths of the scalar gate-by-gate loop.
+    /// Semantics are exactly [`CircuitModel::scalar_size_sweep`]'s. Within
+    /// one sweep gates are independent — a gate's probes read only sink
+    /// widths (strictly later levels, untouched until the gate itself is
+    /// visited) and the fixed `budgets` / `last_delays` — so any
+    /// interleaving of the lanes that hoists each gate before its sinks
+    /// commit produces bitwise the widths of the scalar gate-by-gate loop.
     ///
     /// **Warm lanes.** That independence makes each gate's new width a
     /// pure function of what its bisection reads: the folded slope input,
     /// `budgets[i] * margin`, `vt[i]`, its non-output sink widths, and —
-    /// fixed for the call — `vdd`, `steps`, `margin` and the kernel.
+    /// fixed for the call — `vdd`, `steps`, `margin` and the model.
     /// `scratch` keeps, per gate, the bits of the first three and the
-    /// width they produced, keyed on `(vdd, steps, margin, kernel)`, where
-    /// the kernel is a process-unique id, not an address; a key change
+    /// width they produced, keyed on `(vdd, steps, margin, model)`, where
+    /// the model is a process-unique id, not an address; a key change
     /// makes the next sweep cold. A gate whose inputs all match bitwise is
     /// not bisected: it takes the remembered width. Sink widths need no
     /// per-edge copy. Every reader of a sink sits in an earlier level, so
@@ -325,8 +99,10 @@ impl SoaKernel {
         margin: f64,
         scratch: &mut SizeScratch,
     ) -> f64 {
-        debug_assert_eq!(budgets.len(), self.gate_count());
-        debug_assert_eq!(last_delays.len(), self.gate_count());
+        let n = self.gate_count();
+        debug_assert_eq!(budgets.len(), n);
+        debug_assert_eq!(last_delays.len(), n);
+        let csr = self.csr();
         let tech = &self.tech;
         let w_lo = tech.w_range.0;
         let vdd = design.vdd;
@@ -334,7 +110,7 @@ impl SoaKernel {
             vdd: vdd.to_bits(),
             steps,
             margin: margin.to_bits(),
-            kernel: self.id,
+            model: self.id,
         };
         // Taken, not read: a sweep that unwinds part-way leaves the
         // scratch cold (and its half-filled block is dropped below).
@@ -342,9 +118,9 @@ impl SoaKernel {
         if !warm {
             scratch.block = Block::default();
             scratch.memo.clear();
-            scratch.memo.resize(self.gate_count(), LaneMemo::default());
+            scratch.memo.resize(n, LaneMemo::default());
             scratch.seen_width.clear();
-            scratch.seen_width.resize(self.gate_count(), 0.0);
+            scratch.seen_width.resize(n, 0.0);
         }
         let mut vt_memo = VtMemo::new(tech, vdd);
         let mut max_rel_change = 0.0f64;
@@ -352,14 +128,13 @@ impl SoaKernel {
         // soon as it fills, even across levels, because a committed width
         // is read only by the gate's drivers, which were visited (and
         // hoisted their loads) before it.
-        for &gi in self.csr.order() {
+        for &gi in csr.order() {
             let i = gi as usize;
             if self.is_input[i] {
                 continue;
             }
             let vt = design.vt[i];
-            let max_fanin = self
-                .csr
+            let max_fanin = csr
                 .fanin_of(i)
                 .iter()
                 .map(|&f| {
@@ -376,11 +151,8 @@ impl SoaKernel {
             };
             let reuse = warm
                 && scratch.memo[i].inputs == inputs
-                && self.edges(i).all(|e| {
-                    let t = self.edge_target[e];
-                    t == PO_SENTINEL
-                        || design.width[t as usize].to_bits()
-                            == scratch.seen_width[t as usize].to_bits()
+                && csr.fanout_of(i).iter().all(|&t| {
+                    design.width[t as usize].to_bits() == scratch.seen_width[t as usize].to_bits()
                 });
             scratch.seen_width[i] = before;
             if reuse {
@@ -396,22 +168,17 @@ impl SoaKernel {
 
             // Hoist every width-independent term into the next block lane.
             let terms = *vt_memo.get(vt);
+            let b = self.branch[i];
             let block = &mut scratch.block;
             let k = block.len;
             let mut t_wire: f64 = 0.0;
-            for (row, e) in self.edges(i).enumerate() {
-                let t = self.edge_target[e];
-                let sink_w = if t == PO_SENTINEL {
-                    PO_LOAD_WIDTHS
-                } else {
-                    design.width[t as usize]
-                };
+            let mut row = 0;
+            self.for_each_load(csr, i, &design.width, |sink_w| {
                 let c_sink = sink_w * tech.c_in;
-                block.push_term(row, c_sink + self.edge_c_int[e]);
-                t_wire = t_wire.max(
-                    self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
-                );
-            }
+                block.push_term(row, c_sink + b.c_int);
+                row += 1;
+                t_wire = t_wire.max(b.r_int * (c_sink + b.c_int / 2.0) + b.flight);
+            });
             block.gate[k] = i;
             block.target[k] = target;
             block.t_slope[k] = terms.slope_coeff * max_fanin;
@@ -436,70 +203,125 @@ impl SoaKernel {
         scratch.key = Some(key);
         max_rel_change
     }
-}
 
-/// The terms of `gate_delay` that depend on `(vdd, vt)` alone: the
-/// transcendentals of the slope coefficient, `drive_current` and
-/// `off_current`, with the width factored out.
-#[derive(Debug, Clone, Copy)]
-struct VtTerms {
-    /// `max(1/2 − (1 − vt/vdd)/(1 + α), 0)`, the input-slope coefficient.
-    slope_coeff: f64,
-    /// `overdrive(vdd, vt)^α`: `drive_current(w) = k_drive·w·od_pow`.
-    od_pow: f64,
-    /// `off_current(w, vt) = w·leak_per_w`.
-    leak_per_w: f64,
-}
-
-impl VtTerms {
-    fn new(tech: &minpower_device::Technology, vdd: f64, vt: f64) -> Self {
-        VtTerms {
-            slope_coeff: (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0),
-            od_pow: tech.overdrive(vdd, vt).powf(tech.alpha),
-            leak_per_w: tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
+    /// The reference sizing sweep that [`CircuitModel::size_sweep`]
+    /// batches: contract-based sizing, gate by gate in topological order.
+    ///
+    /// Each logic gate's width is bisected (`steps` halvings of the
+    /// width range, probing [`CircuitModel::gate_delay`]) to the smallest
+    /// value whose delay meets `budgets[i] * margin`, with the slope-term
+    /// input `max(min(budget_j, 1.05 × last_delay_j))` over its fanins
+    /// `j` — drivers assumed to run at their own budgets unless the
+    /// previous sweep found them faster. The minimum width is tried after
+    /// the bisection, which never lands on it, and the maximum width is
+    /// kept when no probe was feasible. By induction along the
+    /// topological order, if every gate meets its contract then every
+    /// delay is within its budget, so only the load coupling (sink widths
+    /// from the previous sweep) remains for the fixed-point sweeps.
+    ///
+    /// Returns the largest relative width change,
+    /// `|w_new − w_old| / max(w_old, w_lo)`. This is the oracle of the
+    /// batched sweep, not a production path.
+    pub fn scalar_size_sweep(
+        &self,
+        design: &mut Design,
+        budgets: &[f64],
+        last_delays: &[f64],
+        steps: usize,
+        margin: f64,
+    ) -> f64 {
+        let (w_lo, w_hi) = self.tech.w_range;
+        let netlist = &self.netlist;
+        let mut max_rel_change = 0.0f64;
+        for &id in netlist.topological_order() {
+            let i = id.index();
+            if self.is_input[i] {
+                continue;
+            }
+            let max_fanin = netlist
+                .gate(id)
+                .fanin()
+                .iter()
+                .map(|f| {
+                    let j = f.index();
+                    budgets[j].min(last_delays[j] * 1.05)
+                })
+                .fold(0.0, f64::max);
+            let before = design.width[i];
+            let target = budgets[i] * margin;
+            let mut lo = w_lo;
+            let mut hi = w_hi;
+            let mut feasible_w = None;
+            for _ in 0..steps {
+                let w = 0.5 * (lo + hi);
+                design.width[i] = w;
+                if self.gate_delay(design, id, max_fanin) <= target {
+                    feasible_w = Some(w);
+                    hi = w;
+                } else {
+                    lo = w;
+                }
+            }
+            design.width[i] = w_lo;
+            if self.gate_delay(design, id, max_fanin) <= target {
+                feasible_w = Some(w_lo);
+            }
+            design.width[i] = feasible_w.unwrap_or(w_hi);
+            let rel = (design.width[i] - before).abs() / before.max(w_lo);
+            max_rel_change = max_rel_change.max(rel);
         }
+        max_rel_change
     }
 }
 
-/// One-entry memo of [`VtTerms`] at a fixed Vdd, keyed on the bits of
-/// the last Vt asked for. A uniform-Vt design pays the transcendentals
-/// once per pass; any Vt change (`-0.0` vs `0.0` included) recomputes.
-/// Invariant: `terms == VtTerms::new(tech, vdd, f64::from_bits(key))`.
-struct VtMemo<'a> {
-    tech: &'a minpower_device::Technology,
-    vdd: f64,
-    key: u64,
-    terms: VtTerms,
+/// A borrowed view of a [`CircuitModel`] under the name of the kernel the
+/// model's layout replaced: `new` copies nothing and every method
+/// forwards to the model. The repository benchmark's `rent_sizing`
+/// workload still calls it; nothing else should.
+#[derive(Debug)]
+pub struct SoaKernel<'m> {
+    model: &'m CircuitModel,
 }
 
-impl<'a> VtMemo<'a> {
-    fn new(tech: &'a minpower_device::Technology, vdd: f64) -> Self {
-        VtMemo {
-            tech,
-            vdd,
-            key: 0f64.to_bits(),
-            terms: VtTerms::new(tech, vdd, 0.0),
-        }
+impl<'m> SoaKernel<'m> {
+    /// A view of `model`. `O(1)`.
+    pub fn new(model: &'m CircuitModel) -> Self {
+        SoaKernel { model }
     }
 
-    #[inline]
-    fn get(&mut self, vt: f64) -> &VtTerms {
-        if vt.to_bits() != self.key {
-            self.key = vt.to_bits();
-            self.terms = VtTerms::new(self.tech, self.vdd, vt);
-        }
-        &self.terms
+    /// [`CircuitModel::size_sweep`].
+    pub fn size_sweep(
+        &self,
+        design: &mut Design,
+        budgets: &[f64],
+        last_delays: &[f64],
+        steps: usize,
+        margin: f64,
+        scratch: &mut SizeScratch,
+    ) -> f64 {
+        self.model
+            .size_sweep(design, budgets, last_delays, steps, margin, scratch)
+    }
+
+    /// [`CircuitModel::delays_into`].
+    pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
+        self.model.delays_into(design, delays);
+    }
+
+    /// [`CircuitModel::total_energy`].
+    pub fn total_energy(&self, design: &Design, fc: f64) -> EnergyBreakdown {
+        self.model.total_energy(design, fc)
     }
 }
 
-/// What a [`SizeScratch`]'s warm-lane memo is valid for: one kernel at
+/// What a [`SizeScratch`]'s warm-lane memo is valid for: one model at
 /// one `(vdd, steps, margin)`. Floats are compared by bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MemoKey {
     vdd: u64,
     steps: usize,
     margin: u64,
-    kernel: u64,
+    model: u64,
 }
 
 /// The bits of the per-gate inputs a lane's bisection reads, sink widths
@@ -645,7 +467,7 @@ impl Block {
     }
 }
 
-/// Reusable buffers for [`SoaKernel::size_sweep`]: the lane block being
+/// Reusable buffers for [`CircuitModel::size_sweep`]: the lane block being
 /// filled and the warm-lane memo, 40 bytes per gate.
 ///
 /// Reuse one scratch across the fixed-point sweeps of one sizing run:
@@ -719,103 +541,67 @@ mod tests {
         d
     }
 
-    #[test]
-    fn kernel_passes_match_model_bitwise() {
-        let n = web();
-        let m = model(&n);
-        let k = SoaKernel::new(&m);
-        for vdd in [0.6, 1.5, 3.3] {
-            let d = varied_design(&n, vdd);
-            let mut kd = Vec::new();
-            let mut ka = Vec::new();
-            let crit = k.timing_into(&d, &mut kd, &mut ka);
-            let mut md = Vec::new();
-            let mut ma = Vec::new();
-            let mcrit = m.timing_into(&d, &mut md, &mut ma);
-            assert_eq!(crit.to_bits(), mcrit.to_bits());
-            for i in 0..n.gate_count() {
-                assert_eq!(kd[i].to_bits(), md[i].to_bits(), "delay {i}");
-                assert_eq!(ka[i].to_bits(), ma[i].to_bits(), "arrival {i}");
-            }
-            let ke = k.total_energy(&d, 3e8);
-            let me = m.total_energy(&d, 3e8);
-            assert_eq!(ke.static_.to_bits(), me.static_.to_bits());
-            assert_eq!(ke.dynamic.to_bits(), me.dynamic.to_bits());
-            for i in 0..n.gate_count() {
-                let id = GateId::new(i);
-                assert_eq!(
-                    k.gate_static_energy(&d, i, 3e8).to_bits(),
-                    m.gate_static_energy(&d, id, 3e8).to_bits()
-                );
-                assert_eq!(
-                    k.gate_dynamic_energy(&d, i).to_bits(),
-                    m.gate_dynamic_energy(&d, id).to_bits()
-                );
-            }
-        }
-    }
-
-    /// The scalar reference sweep: the budgeted sizer's per-gate loop,
-    /// transcribed from `minpower-core` (gate-by-gate bisection against
-    /// the derated budget, minimum-width endpoint, convergence fold).
-    fn scalar_sweep(
-        m: &CircuitModel,
-        design: &mut Design,
-        budgets: &[f64],
-        last_delays: &[f64],
-        steps: usize,
-        margin: f64,
-    ) -> f64 {
-        let tech = m.technology();
-        let (w_lo, w_hi) = tech.w_range;
+    /// The reference dense timing: a topological-order fold of the
+    /// scalar per-gate formula, the oracle of the memoized pass.
+    fn scalar_timing(m: &CircuitModel, d: &Design) -> (Vec<f64>, Vec<f64>, f64) {
         let n = m.netlist();
-        let mut max_rel_change = 0.0f64;
+        let mut delays = vec![0.0; n.gate_count()];
+        let mut arrival = vec![0.0; n.gate_count()];
         for &id in n.topological_order() {
             let i = id.index();
-            if n.gate(id).kind() == GateKind::Input {
-                continue;
-            }
-            let max_fanin = n
+            delays[i] = m.gate_delay(d, id, m.max_fanin_delay(&delays, i));
+            let latest = n
                 .gate(id)
                 .fanin()
                 .iter()
-                .map(|f| {
-                    let j = f.index();
-                    budgets[j].min(last_delays[j] * 1.05)
-                })
+                .map(|f| arrival[f.index()])
                 .fold(0.0, f64::max);
-            let before = design.width[i];
-            let target = budgets[i] * margin;
-            let mut lo = w_lo;
-            let mut hi = w_hi;
-            let mut feasible_w = None;
-            for _ in 0..steps {
-                let w = 0.5 * (lo + hi);
-                design.width[i] = w;
-                let t = m.gate_delay(design, id, max_fanin);
-                if t <= target {
-                    feasible_w = Some(w);
-                    hi = w;
-                } else {
-                    lo = w;
-                }
-            }
-            design.width[i] = w_lo;
-            if m.gate_delay(design, id, max_fanin) <= target {
-                feasible_w = Some(w_lo);
-            }
-            design.width[i] = feasible_w.unwrap_or(w_hi);
-            let rel = (design.width[i] - before).abs() / before.max(w_lo);
-            max_rel_change = max_rel_change.max(rel);
+            arrival[i] = latest + delays[i];
         }
-        max_rel_change
+        let critical = n
+            .outputs()
+            .iter()
+            .map(|o| arrival[o.index()])
+            .fold(0.0, f64::max);
+        (delays, arrival, critical)
+    }
+
+    /// The memoized dense pass against the scalar fold, bit for bit.
+    fn assert_timing_matches_scalar(m: &CircuitModel, d: &Design, what: &str) {
+        let (mut md, mut ma) = (Vec::new(), Vec::new());
+        let crit = m.timing_into(d, &mut md, &mut ma);
+        let (sd, sa, scrit) = scalar_timing(m, d);
+        assert_eq!(crit.to_bits(), scrit.to_bits(), "{what}: critical");
+        for i in 0..sd.len() {
+            assert_eq!(md[i].to_bits(), sd[i].to_bits(), "{what}: delay {i}");
+            assert_eq!(ma[i].to_bits(), sa[i].to_bits(), "{what}: arrival {i}");
+        }
+    }
+
+    #[test]
+    fn memoized_passes_match_scalar_formulas_bitwise() {
+        let n = web();
+        let m = model(&n);
+        for vdd in [0.6, 1.5, 3.3] {
+            let d = varied_design(&n, vdd);
+            assert_timing_matches_scalar(&m, &d, &format!("vdd {vdd}"));
+            let per_gate: EnergyBreakdown = (0..n.gate_count())
+                .map(|i| m.gate_energy(&d, GateId::new(i), 3e8))
+                .sum();
+            for total in [
+                m.total_energy(&d, 3e8),
+                m.energy_ledger(&d, 3e8).exact_total(),
+            ] {
+                assert_eq!(total.static_.to_bits(), per_gate.static_.to_bits());
+                assert_eq!(total.dynamic.to_bits(), per_gate.dynamic.to_bits());
+            }
+        }
     }
 
     #[test]
     fn batched_size_sweep_matches_scalar_bitwise() {
         let n = web();
         let m = model(&n);
-        let k = SoaKernel::new(&m);
         let gates = n.gate_count();
         // Budgets spread around realistic stage delays for this process.
         let budgets: Vec<f64> = (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect();
@@ -827,8 +613,8 @@ mod tests {
             // Several coupled sweeps so previous-sweep sink widths and the
             // `last_delays` feedback both get exercised.
             for _sweep in 0..3 {
-                let rb = k.size_sweep(&mut batched, &budgets, &last_delays, 14, 0.97, &mut scratch);
-                let rs = scalar_sweep(&m, &mut scalar, &budgets, &last_delays, 14, 0.97);
+                let rb = m.size_sweep(&mut batched, &budgets, &last_delays, 14, 0.97, &mut scratch);
+                let rs = m.scalar_size_sweep(&mut scalar, &budgets, &last_delays, 14, 0.97);
                 assert_eq!(rb.to_bits(), rs.to_bits(), "rel-change diverged");
                 for i in 0..gates {
                     assert_eq!(
@@ -837,7 +623,7 @@ mod tests {
                         "width {i} diverged at vdd {vdd}"
                     );
                 }
-                k.delays_into(&batched, &mut last_delays);
+                m.delays_into(&batched, &mut last_delays);
             }
         }
     }
@@ -846,14 +632,13 @@ mod tests {
     fn infeasible_lane_takes_max_width() {
         let n = web();
         let m = model(&n);
-        let k = SoaKernel::new(&m);
         let mut d = varied_design(&n, 1.5);
         // Impossible budgets: every lane's probes all fail, so every
         // logic gate lands on the maximum width (the scalar fallback).
         let budgets = vec![1e-18; n.gate_count()];
         let last_delays = budgets.clone();
         let mut scratch = SizeScratch::new();
-        k.size_sweep(&mut d, &budgets, &last_delays, 6, 0.97, &mut scratch);
+        m.size_sweep(&mut d, &budgets, &last_delays, 6, 0.97, &mut scratch);
         let w_hi = m.technology().w_range.1;
         for i in 0..n.gate_count() {
             let id = GateId::new(i);
@@ -861,6 +646,44 @@ mod tests {
                 assert_eq!(d.width[i], w_hi, "gate {i}");
             }
         }
+    }
+
+    #[test]
+    fn kernel_view_forwards_to_the_model() {
+        let n = web();
+        let m = model(&n);
+        let k = SoaKernel::new(&m);
+        let budgets: Vec<f64> = (0..n.gate_count())
+            .map(|i| 2e-10 * (1.0 + (i % 4) as f64))
+            .collect();
+        let mut via_kernel = varied_design(&n, 1.5);
+        let mut via_model = via_kernel.clone();
+        let rk = k.size_sweep(
+            &mut via_kernel,
+            &budgets,
+            &budgets,
+            12,
+            0.97,
+            &mut SizeScratch::new(),
+        );
+        let rm = m.size_sweep(
+            &mut via_model,
+            &budgets,
+            &budgets,
+            12,
+            0.97,
+            &mut SizeScratch::new(),
+        );
+        assert_eq!(rk.to_bits(), rm.to_bits());
+        assert_eq!(via_kernel.width, via_model.width);
+        let (mut kd, mut md) = (Vec::new(), Vec::new());
+        k.delays_into(&via_kernel, &mut kd);
+        m.delays_into(&via_model, &mut md);
+        assert_eq!(kd, md);
+        assert_eq!(
+            k.total_energy(&via_kernel, 3e8),
+            m.total_energy(&via_model, 3e8)
+        );
     }
 
     /// A levelized network, `levels` deep and `width` wide: each gate
@@ -942,7 +765,6 @@ mod tests {
     fn vt_memo_key_changes_match_scalar_bitwise() {
         let n = layered(7, 9);
         let m = model(&n);
-        let k = SoaKernel::new(&m);
         let gates = n.gate_count();
         let budgets: Vec<f64> = (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect();
         let mut scratch = SizeScratch::new();
@@ -955,35 +777,15 @@ mod tests {
                 }
 
                 // `timing_into` runs `delays_into`, then the arrivals.
-                let (mut kd, mut ka, mut md, mut ma) =
-                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                let crit = k.timing_into(&d, &mut kd, &mut ka);
-                let mcrit = m.timing_into(&d, &mut md, &mut ma);
-                assert_eq!(
-                    crit.to_bits(),
-                    mcrit.to_bits(),
-                    "{pattern} vdd {vdd}: critical"
-                );
-                for i in 0..gates {
-                    assert_eq!(
-                        kd[i].to_bits(),
-                        md[i].to_bits(),
-                        "{pattern} vdd {vdd}: delay {i}"
-                    );
-                    assert_eq!(
-                        ka[i].to_bits(),
-                        ma[i].to_bits(),
-                        "{pattern} vdd {vdd}: arrival {i}"
-                    );
-                }
+                assert_timing_matches_scalar(&m, &d, &format!("{pattern} vdd {vdd}"));
 
                 let mut batched = d.clone();
                 let mut scalar = d;
                 let mut last_delays = budgets.clone();
                 for sweep in 0..3 {
                     let rb =
-                        k.size_sweep(&mut batched, &budgets, &last_delays, 12, 0.97, &mut scratch);
-                    let rs = scalar_sweep(&m, &mut scalar, &budgets, &last_delays, 12, 0.97);
+                        m.size_sweep(&mut batched, &budgets, &last_delays, 12, 0.97, &mut scratch);
+                    let rs = m.scalar_size_sweep(&mut scalar, &budgets, &last_delays, 12, 0.97);
                     assert_eq!(
                         rb.to_bits(),
                         rs.to_bits(),
@@ -1004,7 +806,8 @@ mod tests {
 
     /// Three ways through the same sweeps: one scratch reused throughout
     /// (warm lanes), a fresh scratch per sweep (every lane bisected), and
-    /// the scalar loop. Widths and `rel` must agree bit for bit.
+    /// the scalar reference sweep. Widths and `rel` must agree bit for
+    /// bit.
     struct ThreeWays {
         warm: Design,
         fresh: Design,
@@ -1031,10 +834,8 @@ mod tests {
 
         /// One sweep three ways; returns `rel` and the lanes the reused
         /// scratch took from its memo.
-        #[allow(clippy::too_many_arguments)]
         fn sweep(
             &mut self,
-            k: &SoaKernel,
             m: &CircuitModel,
             budgets: &[f64],
             last_delays: &[f64],
@@ -1043,7 +844,7 @@ mod tests {
             what: &str,
         ) -> (f64, u64) {
             let reused = self.scratch.lanes_reused();
-            let rw = k.size_sweep(
+            let rw = m.size_sweep(
                 &mut self.warm,
                 budgets,
                 last_delays,
@@ -1051,7 +852,7 @@ mod tests {
                 margin,
                 &mut self.scratch,
             );
-            let rf = k.size_sweep(
+            let rf = m.size_sweep(
                 &mut self.fresh,
                 budgets,
                 last_delays,
@@ -1059,7 +860,7 @@ mod tests {
                 margin,
                 &mut SizeScratch::new(),
             );
-            let rs = scalar_sweep(m, &mut self.scalar, budgets, last_delays, steps, margin);
+            let rs = m.scalar_size_sweep(&mut self.scalar, budgets, last_delays, steps, margin);
             assert_eq!(rw.to_bits(), rs.to_bits(), "{what}: warm rel");
             assert_eq!(rf.to_bits(), rs.to_bits(), "{what}: fresh rel");
             for i in 0..self.scalar.width.len() {
@@ -1073,10 +874,8 @@ mod tests {
         /// Sweeps with `last_delays` held until the widths stop moving,
         /// then asserts that the final sweep reused every lane — so the
         /// next edit meets a fully warm memo.
-        #[allow(clippy::too_many_arguments)]
         fn settle(
             &mut self,
-            k: &SoaKernel,
             m: &CircuitModel,
             budgets: &[f64],
             last_delays: &[f64],
@@ -1084,9 +883,9 @@ mod tests {
             margin: f64,
             what: &str,
         ) {
-            let logic = (0..k.gate_count()).filter(|&i| !k.is_input[i]).count() as u64;
-            for _ in 0..k.csr().level_count() + 2 {
-                let (rel, reused) = self.sweep(k, m, budgets, last_delays, steps, margin, what);
+            let logic = m.is_input.iter().filter(|&&input| !input).count() as u64;
+            for _ in 0..m.csr().level_count() + 2 {
+                let (rel, reused) = self.sweep(m, budgets, last_delays, steps, margin, what);
                 if rel == 0.0 && reused == logic {
                     return;
                 }
@@ -1099,13 +898,11 @@ mod tests {
     fn warm_lanes_match_fresh_and_scalar_bitwise() {
         let n = layered(7, 9);
         let m = model(&n);
-        let k = SoaKernel::new(&m);
-        // A second kernel over the same gates: weaker drive, other widths.
+        // A second model over the same gates: weaker drive, other widths.
         let tech2 = Technology::builder()
             .k_drive(Technology::dac97().k_drive * 0.6)
             .build();
         let m2 = CircuitModel::with_uniform_activity(&n, tech2, 0.5, 0.4);
-        let k2 = SoaKernel::new(&m2);
         let gates = n.gate_count();
         let budgets: Vec<f64> = (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect();
         let mut d = Design::uniform(&n, 1.5, 0.3, 2.0);
@@ -1118,7 +915,6 @@ mod tests {
         let mut last_delays = budgets.clone();
         for sweep in 0..6 {
             t.sweep(
-                &k,
                 &m,
                 &budgets,
                 &last_delays,
@@ -1128,54 +924,38 @@ mod tests {
             );
             m.delays_into(&t.scalar, &mut last_delays);
         }
-        t.settle(&k, &m, &budgets, &last_delays, 12, 0.97, "settle");
+        t.settle(&m, &budgets, &last_delays, 12, 0.97, "settle");
 
         // Each edit below meets a fully warm memo whose recorded inputs
         // are otherwise all still valid.
         t.edit(|d| d.vdd = 1.1);
-        t.sweep(&k, &m, &budgets, &last_delays, 12, 0.97, "vdd change");
-        t.settle(&k, &m, &budgets, &last_delays, 12, 0.97, "settle vdd");
+        t.sweep(&m, &budgets, &last_delays, 12, 0.97, "vdd change");
+        t.settle(&m, &budgets, &last_delays, 12, 0.97, "settle vdd");
 
-        t.sweep(&k2, &m2, &budgets, &last_delays, 12, 0.97, "second kernel");
-        t.settle(&k2, &m2, &budgets, &last_delays, 12, 0.97, "settle kernel");
-        t.sweep(
-            &k,
-            &m,
-            &budgets,
-            &last_delays,
-            12,
-            0.97,
-            "first kernel again",
-        );
-        t.settle(
-            &k,
-            &m,
-            &budgets,
-            &last_delays,
-            12,
-            0.97,
-            "settle kernel again",
-        );
+        t.sweep(&m2, &budgets, &last_delays, 12, 0.97, "second model");
+        t.settle(&m2, &budgets, &last_delays, 12, 0.97, "settle model");
+        t.sweep(&m, &budgets, &last_delays, 12, 0.97, "first model again");
+        t.settle(&m, &budgets, &last_delays, 12, 0.97, "settle model again");
 
         let mut budgets2 = budgets.clone();
         for b in budgets2.iter_mut().step_by(3) {
             *b *= 1.3;
         }
-        t.sweep(&k, &m, &budgets2, &last_delays, 12, 0.97, "budget change");
-        t.settle(&k, &m, &budgets2, &last_delays, 12, 0.97, "settle budgets");
+        t.sweep(&m, &budgets2, &last_delays, 12, 0.97, "budget change");
+        t.settle(&m, &budgets2, &last_delays, 12, 0.97, "settle budgets");
 
-        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.97, "steps change");
-        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.97, "settle steps");
-        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "margin change");
-        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.9, "settle margin");
+        t.sweep(&m, &budgets2, &last_delays, 10, 0.97, "steps change");
+        t.settle(&m, &budgets2, &last_delays, 10, 0.97, "settle steps");
+        t.sweep(&m, &budgets2, &last_delays, 10, 0.9, "margin change");
+        t.settle(&m, &budgets2, &last_delays, 10, 0.9, "settle margin");
 
         t.edit(|d| {
             for vt in d.vt.iter_mut().step_by(4) {
                 *vt = 0.36;
             }
         });
-        t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "vt edit");
-        t.settle(&k, &m, &budgets2, &last_delays, 10, 0.9, "settle vt");
+        t.sweep(&m, &budgets2, &last_delays, 10, 0.9, "vt edit");
+        t.settle(&m, &budgets2, &last_delays, 10, 0.9, "settle vt");
 
         // A caller resizes a few sinks between sweeps: their drivers'
         // loads change though no input the memo keys per gate does.
@@ -1184,7 +964,7 @@ mod tests {
                 d.width[i] = 37.5;
             }
         });
-        let (_, reused) = t.sweep(&k, &m, &budgets2, &last_delays, 10, 0.9, "width edit");
+        let (_, reused) = t.sweep(&m, &budgets2, &last_delays, 10, 0.9, "width edit");
         assert!(reused > 0, "the edit left no lane warm");
     }
 }

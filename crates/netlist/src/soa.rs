@@ -19,8 +19,8 @@
 //! gate's fanins sit at strictly lower levels), so it is a valid
 //! topological traversal; a reverse sweep is a valid reverse-topological
 //! traversal. Unlike [`Netlist::topological_order`], the grouping exposes
-//! per-level slices whose gates are mutually independent. The SoA kernel
-//! in `minpower-models` sweeps them; the incremental STA in
+//! per-level slices whose gates are mutually independent. The circuit
+//! model in `minpower-models` sweeps them; the incremental STA in
 //! `minpower-timing` buckets its dirty worklist by the same levels.
 
 use crate::gate::GateId;

@@ -181,7 +181,7 @@ impl CircuitModel {
     }
 
     /// Total gate count (primary inputs included).
-    pub fn gate_count(&self) -> usize {
+    pub(crate) fn gate_count(&self) -> usize {
         self.is_input.len()
     }
 
@@ -206,7 +206,7 @@ impl CircuitModel {
     /// fanout branch, with sink `u64::MAX` for the primary-output load.
     fn compute_fingerprint(&self) -> u64 {
         let t = &self.tech;
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         let n = self.gate_count();
         let mut words: Vec<u64> = Vec::with_capacity(8 * n + 32);
         words.extend(self.netlist.name().bytes().map(u64::from));
@@ -260,7 +260,11 @@ impl CircuitModel {
     /// Calls `load` with the width of every load gate `i` drives, in the
     /// netlist's fanout order, then with the primary-output load if it
     /// drives one: the edge order of every per-gate fold.
-    #[inline]
+    ///
+    /// `inline(always)` here and on [`CircuitModel::load`]: left to the
+    /// inliner, either could become a call per gate, which made the dense
+    /// delay pass about 14% slower on the suite circuits.
+    #[inline(always)]
     pub(crate) fn for_each_load(
         &self,
         csr: &LevelizedCsr,
@@ -278,7 +282,7 @@ impl CircuitModel {
 
     /// Gate `i`'s output load capacitance at width `w` and its worst
     /// branch wire delay (RC plus time of flight), folded over its loads.
-    #[inline]
+    #[inline(always)]
     fn load(&self, csr: &LevelizedCsr, i: usize, w: f64, width: &[f64]) -> (f64, f64) {
         let tech = &self.tech;
         let b = self.branch[i];
@@ -382,7 +386,7 @@ impl CircuitModel {
     /// the last logic gate's, and every value is bitwise the reference
     /// formula's.
     pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         delays.clear();
         delays.resize(self.gate_count(), 0.0);
         let mut memo = VtMemo::new(&self.tech, design.vdd);
@@ -413,7 +417,7 @@ impl CircuitModel {
         arrival: &mut Vec<f64>,
     ) -> f64 {
         self.delays_into(design, delays);
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         arrival.clear();
         arrival.resize(self.gate_count(), 0.0);
         for &i in csr.order() {
@@ -465,7 +469,7 @@ impl CircuitModel {
     ) {
         let n = self.gate_count();
         assert_eq!(delays.len(), n);
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         // Seed: the changed gate and its drivers (whose load changed).
         let mut dirty = vec![false; n];
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>> =
@@ -541,7 +545,7 @@ impl CircuitModel {
         design: &'a Design,
         fc: f64,
     ) -> impl Iterator<Item = EnergyBreakdown> + 'a {
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         (0..self.gate_count()).map(move |i| self.gate_energy_in(csr, design, i, fc))
     }
 
@@ -656,7 +660,7 @@ impl EnergyLedger {
     /// the ones the ledger was built over (with only accepted width edits
     /// applied).
     pub fn on_width_change(&mut self, model: &CircuitModel, design: &Design, changed: GateId) {
-        let csr = model.csr();
+        let csr: &LevelizedCsr = model.csr();
         let i = changed.index();
         for g in std::iter::once(i).chain(csr.fanin_of(i).iter().map(|&f| f as usize)) {
             self.terms[g] = model.gate_energy_in(csr, design, g, self.fc);

@@ -31,6 +31,8 @@
 //! `minpower-core` cross-checks the batched sweep against the reference
 //! one gate-for-gate in debug builds.
 
+use minpower_netlist::LevelizedCsr;
+
 use crate::circuit::{CircuitModel, VtMemo};
 use crate::design::Design;
 use crate::energy::EnergyBreakdown;
@@ -102,7 +104,7 @@ impl CircuitModel {
         let n = self.gate_count();
         debug_assert_eq!(budgets.len(), n);
         debug_assert_eq!(last_delays.len(), n);
-        let csr = self.csr();
+        let csr: &LevelizedCsr = self.csr();
         let tech = &self.tech;
         let w_lo = tech.w_range.0;
         let vdd = design.vdd;

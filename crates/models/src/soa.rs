@@ -1,7 +1,7 @@
 //! Batched speculative width probes: the sizing sweep of Procedure 2.
 //!
 //! [`CircuitModel`] holds its per-gate constants in flat arrays over the
-//! netlist's shared [`LevelizedCsr`](minpower_netlist::LevelizedCsr), so
+//! netlist's shared [`LevelizedCsr`], so
 //! its dense delay/arrival/energy passes are a few tight sweeps over
 //! contiguous buffers. This module adds the innermost loop of Procedure
 //! 2 on the same layout. The reference sizer

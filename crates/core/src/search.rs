@@ -464,7 +464,7 @@ impl<'a> Sizer<'a> {
         );
         let mut blocked = vec![false; netlist.gate_count()];
         for _ in 0..200 {
-            let (crit, crit_gate) = eval.sta().critical_sink();
+            let (crit, crit_gate) = eval.critical_sink();
             if crit <= tc {
                 break;
             }
@@ -477,7 +477,7 @@ impl<'a> Sizer<'a> {
                 Some((i, w_new, _)) => {
                     eval.try_width(model, i, w_new);
                     // Revert moves that backfire through driver loading.
-                    if eval.sta().critical_sink().0 < crit {
+                    if eval.critical_sink().0 < crit {
                         eval.accept();
                     } else {
                         eval.revert(model);
@@ -487,7 +487,7 @@ impl<'a> Sizer<'a> {
                 None => break,
             }
         }
-        let critical = eval.sta().critical_sink().0;
+        let critical = eval.critical_sink().0;
         // Energy at the leaky corner (equals nominal when tolerance = 0).
         let energy = eval.energy();
         (eval.into_design(), critical, energy)

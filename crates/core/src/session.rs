@@ -3,8 +3,8 @@
 //!
 //! A cold optimization job answers one question per netlist load; a
 //! *session* keeps the expensive artifacts — the [`CircuitModel`] and the
-//! warm evaluator the sizing loops also run on (a self-consistent delay
-//! vector, an incremental STA, and an energy ledger) — alive between
+//! warm evaluator the sizing loops also run on (self-consistent delays
+//! and arrivals, and an energy ledger) — alive between
 //! questions, so "what if this gate were 2× wider" or "what if `f_c`
 //! moved to 400 MHz" costs one dirty-cone repair instead of a full dense
 //! evaluation. Every incremental path is bitwise-identical to the dense
@@ -19,10 +19,10 @@
 //!   form uses the hex-bits float encoding of `crate::json` so replay is
 //!   bit-exact.
 //! - [`SessionState`] — the warm state and the per-op incremental
-//!   strategies: width/vt edits run the journaled delay repair +
-//!   incremental STA commit + ledger refresh; operating-point edits
-//!   rebuild only the invalidated artifacts (arrivals and ledger for
-//!   `f_c`, ledger for activity, everything for `V_dd`); structural
+//!   strategies: width/vt edits run the evaluator's one journaled
+//!   delay + arrival repair pass and a ledger refresh; operating-point edits
+//!   rebuild only the invalidated artifacts (the ledger for `f_c` and
+//!   for activity, everything for `V_dd`); structural
 //!   edits rebuild densely (the wire model is a function of gate count,
 //!   so the whole delay surface legitimately moves).
 //! - The **op-log**: `append_op` appends one CRC-framed record per
@@ -452,7 +452,7 @@ pub struct OpOutcome {
 }
 
 /// Warm per-session state: the model, the warm evaluator (design,
-/// self-consistent delays, incremental STA, energy ledger), and the
+/// self-consistent delays and arrivals, energy ledger), and the
 /// dirty set feeding the re-optimization planner. All mutation goes
 /// through [`SessionState::apply`]; replaying the same ops over the same
 /// [`SessionParams`] reproduces the state bit-for-bit.
@@ -473,7 +473,7 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// Builds the warm state: dense delays, forward-only STA, energy
+    /// Builds the warm state: dense delays, arrivals, energy
     /// ledger, all inside the warm evaluator.
     ///
     /// # Errors
@@ -624,8 +624,8 @@ impl SessionState {
             revision: self.revision,
             gates_touched,
             resized,
-            feasible: self.eval.sta().meets_constraint(),
-            critical_delay: self.eval.sta().critical_delay(),
+            feasible: self.eval.meets_constraint(),
+            critical_delay: self.eval.critical_delay(),
             cycle_time: self.cycle_time(),
             energy: self.eval.energy(),
             dirty: self.dirty.len(),
@@ -651,7 +651,7 @@ impl SessionState {
     /// feasibility, reverts bit-exactly.
     fn probe_feasible(&mut self, id: GateId, w: f64) -> bool {
         self.eval.try_width(&self.model, id.index(), w);
-        let feasible = self.eval.sta().meets_constraint();
+        let feasible = self.eval.meets_constraint();
         self.eval.revert(&self.model);
         feasible
     }
@@ -985,17 +985,17 @@ impl SessionState {
 
     /// Current per-gate arrival times.
     pub fn arrivals(&self) -> &[f64] {
-        self.eval.sta().arrivals()
+        self.eval.arrivals()
     }
 
     /// Current critical path delay, seconds.
     pub fn critical_delay(&self) -> f64 {
-        self.eval.sta().critical_delay()
+        self.eval.critical_delay()
     }
 
     /// Whether the circuit meets the cycle-time constraint.
     pub fn feasible(&self) -> bool {
-        self.eval.sta().meets_constraint()
+        self.eval.meets_constraint()
     }
 
     /// Exact (index-order) energy per cycle; bitwise-identical to

@@ -138,7 +138,7 @@ pub(crate) fn size_greedy_with_stats_ctl(
         if let Some(e) = trip_to_error(control, &stats, evaluations) {
             return Err(e);
         }
-        let (crit, crit_gate) = eval.sta().critical_sink();
+        let (crit, crit_gate) = eval.critical_sink();
         best_crit = best_crit.min(crit);
         if crit <= tc {
             // Ordered re-sum of the delta-maintained per-gate terms:

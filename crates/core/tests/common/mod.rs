@@ -1,7 +1,7 @@
 //! Shared checks for the equivalence suites.
 
 use minpower_core::{OptimizationResult, Problem};
-use minpower_timing::incremental::{sink_critical, virtual_sinks};
+use minpower_timing::{sink_critical, virtual_sinks};
 
 /// Re-evaluates a sized design densely and asserts the reported energy
 /// and critical delay match bit for bit. Needs `vt_tolerance == 0`, so

@@ -168,7 +168,7 @@ impl CircuitModel {
     }
 
     /// The netlist's levelized CSR view, built on first use and then
-    /// shared: every pass of the model and the warm incremental STA read
+    /// shared: every pass of the model and the warm evaluator's repair read
     /// this one copy of the topology.
     pub fn csr(&self) -> &Arc<LevelizedCsr> {
         self.csr
@@ -417,6 +417,23 @@ impl CircuitModel {
         arrival: &mut Vec<f64>,
     ) -> f64 {
         self.delays_into(design, delays);
+        self.arrivals_into(delays, arrival)
+    }
+
+    /// Arrival times under per-gate `delays` into a caller-owned buffer,
+    /// returning the critical delay (latest primary-output arrival): one
+    /// levelized sweep over [`CircuitModel::csr`], each arrival the
+    /// largest fanin arrival (folded in fanin order) plus the gate's delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays.len()` differs from the gate count.
+    pub fn arrivals_into(&self, delays: &[f64], arrival: &mut Vec<f64>) -> f64 {
+        assert_eq!(
+            delays.len(),
+            self.gate_count(),
+            "one delay per gate required"
+        );
         let csr: &LevelizedCsr = self.csr();
         arrival.clear();
         arrival.resize(self.gate_count(), 0.0);
@@ -442,71 +459,6 @@ impl CircuitModel {
             .iter()
             .map(|&f| delays[f as usize])
             .fold(0.0, f64::max)
-    }
-
-    /// Incrementally repairs a self-consistent `delays` vector after the
-    /// width of `changed` was modified in `design`, touching only the
-    /// affected cone: the changed gate, its drivers (their load moved),
-    /// and everything downstream reached through the input-slope term.
-    ///
-    /// Produces exactly the vector [`CircuitModel::delays`] would, at
-    /// `O(|cone|)` instead of `O(E)` — the enabling trick for
-    /// sensitivity-driven sizing loops. The journal hook
-    /// `on_change(index, previous_delay)` fires for every gate whose
-    /// delay actually moved, *before* the overwrite — exactly what a
-    /// transactional caller needs to revert the repair without
-    /// recomputation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len()` differs from the gate count.
-    pub fn update_delays_after_width_change_with(
-        &self,
-        design: &Design,
-        delays: &mut [f64],
-        changed: GateId,
-        mut on_change: impl FnMut(usize, f64),
-    ) {
-        let n = self.gate_count();
-        assert_eq!(delays.len(), n);
-        let csr: &LevelizedCsr = self.csr();
-        // Seed: the changed gate and its drivers (whose load changed).
-        let mut dirty = vec![false; n];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>> =
-            std::collections::BinaryHeap::new();
-        let push =
-            |heap: &mut std::collections::BinaryHeap<_>, dirty: &mut Vec<bool>, idx: usize| {
-                if !dirty[idx] {
-                    dirty[idx] = true;
-                    let level = csr.level_of(idx) as u32;
-                    heap.push(std::cmp::Reverse((level, idx as u32)));
-                }
-            };
-        push(&mut heap, &mut dirty, changed.index());
-        for &f in csr.fanin_of(changed.index()) {
-            push(&mut heap, &mut dirty, f as usize);
-        }
-        // Process in level order so every recompute sees final upstream
-        // values; propagate downstream only when a delay actually moved.
-        while let Some(std::cmp::Reverse((_, idx))) = heap.pop() {
-            let i = idx as usize;
-            dirty[i] = false;
-            if self.is_input[i] {
-                continue;
-            }
-            let max_fanin = self.max_fanin_delay(delays, i);
-            let new = self.gate_delay(design, GateId::new(i), max_fanin);
-            // Bitwise comparison, not an epsilon: propagation must stop
-            // only when the value is *exactly* the full-recompute fixed
-            // point, or repeated repairs could drift from a dense pass.
-            if new.to_bits() != delays[i].to_bits() {
-                on_change(i, delays[i]);
-                delays[i] = new;
-                for &t in csr.fanout_of(i) {
-                    push(&mut heap, &mut dirty, t as usize);
-                }
-            }
-        }
     }
 
     /// Static (Eq. A1) and dynamic (Eq. A2) energy per cycle of gate
@@ -827,66 +779,6 @@ mod tests {
         let a = n.find("a").unwrap();
         assert_eq!(e.gates[a.index()].delay, 0.0);
         assert_eq!(e.gates[a.index()].energy.total(), 0.0);
-    }
-
-    #[test]
-    fn incremental_delay_update_matches_full_recompute() {
-        // Reconvergent structure so the dirty cone is nontrivial.
-        let mut b = NetlistBuilder::new("recon");
-        b.input("a").unwrap();
-        b.input("c").unwrap();
-        b.gate("u", GateKind::Nand, &["a", "c"]).unwrap();
-        b.gate("v", GateKind::Nor, &["u", "c"]).unwrap();
-        b.gate("w", GateKind::Nand, &["u", "v"]).unwrap();
-        b.gate("x", GateKind::Or, &["w", "u"]).unwrap();
-        b.gate("y", GateKind::Not, &["x"]).unwrap();
-        b.output("y").unwrap();
-        let n = b.finish().unwrap();
-        let m = model(&n);
-        let mut d = Design::uniform(&n, 1.5, 0.3, 4.0);
-        let mut delays = m.delays(&d);
-        // A sequence of width edits, each repaired incrementally. Bitwise
-        // propagation makes the repair land exactly on the full-recompute
-        // fixed point, not merely within a tolerance.
-        for (name, w) in [("u", 12.0), ("w", 2.0), ("y", 30.0), ("u", 5.0)] {
-            let id = n.find(name).unwrap();
-            d.width[id.index()] = w;
-            m.update_delays_after_width_change_with(&d, &mut delays, id, |_, _| {});
-            let full = m.delays(&d);
-            for i in 0..n.gate_count() {
-                assert!(
-                    delays[i].to_bits() == full[i].to_bits(),
-                    "after {name}={w}: gate {i} incremental {} vs full {}",
-                    delays[i],
-                    full[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn journaled_update_reverts_bit_exactly() {
-        let n = chain(6);
-        let m = model(&n);
-        let mut d = Design::uniform(&n, 1.5, 0.3, 4.0);
-        let mut delays = m.delays(&d);
-        let before = delays.clone();
-        let id = n.find("n2").unwrap();
-        let w_old = d.width[id.index()];
-        d.width[id.index()] = 17.0;
-        let mut journal: Vec<(usize, f64)> = Vec::new();
-        m.update_delays_after_width_change_with(&d, &mut delays, id, |i, old| {
-            journal.push((i, old));
-        });
-        assert!(!journal.is_empty(), "the edit must move some delay");
-        // Replaying the journal in reverse restores the exact prior state.
-        d.width[id.index()] = w_old;
-        for &(i, old) in journal.iter().rev() {
-            delays[i] = old;
-        }
-        for (i, (now, then)) in delays.iter().zip(before.iter()).enumerate() {
-            assert_eq!(now.to_bits(), then.to_bits(), "gate {i}");
-        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! topological traversal; a reverse sweep is a valid reverse-topological
 //! traversal. Unlike [`Netlist::topological_order`], the grouping exposes
 //! per-level slices whose gates are mutually independent. The circuit
-//! model in `minpower-models` sweeps them; the incremental STA in
-//! `minpower-timing` buckets its dirty worklist by the same levels.
+//! model in `minpower-models` sweeps them; the warm evaluator in
+//! `minpower-core` buckets its dirty worklist by the same levels.
 
 use crate::gate::GateId;
 use crate::graph::Netlist;

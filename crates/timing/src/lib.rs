@@ -8,9 +8,9 @@
 //!
 //! * [`Sta`] — dense arrival/required/slack analysis for a delay
 //!   assignment under a cycle-time constraint;
-//! * [`IncrementalSta`] — warm forward-only arrivals over a shared
-//!   [`LevelizedCsr`](minpower_netlist::LevelizedCsr), repaired over the
-//!   dirty fanout cone of each delay edit and bit-identical to [`Sta`]'s;
+//! * [`virtual_sinks`] and [`sink_critical`] — the timing endpoints of
+//!   the width-sizing loops (primary outputs plus dangling gates) and the
+//!   latest of their arrivals, with a fixed tie-break;
 //! * [`Criticality`] — the prefix/suffix dynamic program over fanout
 //!   weights: maximum path criticality through every gate, and extraction
 //!   of the maximizing path;
@@ -44,13 +44,11 @@
 mod criticality;
 mod delay_paths;
 mod event_sim;
-pub mod incremental;
 mod kpaths;
 mod sta;
 
 pub use criticality::Criticality;
 pub use delay_paths::{DelayPath, KWorstDelayPaths};
 pub use event_sim::{EventSimResult, EventSimulator};
-pub use incremental::{Commit, IncrementalSta};
 pub use kpaths::{KMostCriticalPaths, Path};
-pub use sta::Sta;
+pub use sta::{sink_critical, virtual_sinks, Sta};

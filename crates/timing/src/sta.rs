@@ -1,6 +1,40 @@
-//! Arrival / required / slack analysis.
+//! Arrival / required / slack analysis, and the timing endpoints of the
+//! width-sizing loops.
 
-use minpower_netlist::{GateId, Netlist};
+use minpower_netlist::{GateId, LevelizedCsr, Netlist};
+
+/// Gates whose arrivals the sizers treat as timing endpoints: declared
+/// primary outputs plus gates with no fanout (dangling cones still have to
+/// settle within the cycle). Returned in ascending gate index, which fixes
+/// the tie-breaking of [`sink_critical`].
+pub fn virtual_sinks(csr: &LevelizedCsr) -> Vec<u32> {
+    let mut sink: Vec<bool> = (0..csr.gate_count())
+        .map(|i| csr.fanout_of(i).is_empty())
+        .collect();
+    for &o in csr.outputs() {
+        sink[o as usize] = true;
+    }
+    (0..csr.gate_count() as u32)
+        .filter(|&i| sink[i as usize])
+        .collect()
+}
+
+/// The latest sink arrival and the first sink attaining it (strictly-greater
+/// scan from zero — the tie-breaking every sizing loop in `minpower-core`
+/// relies on). `sinks` must be in ascending index order, as produced by
+/// [`virtual_sinks`].
+pub fn sink_critical(sinks: &[u32], arrival: &[f64]) -> (f64, Option<GateId>) {
+    let mut crit = 0.0f64;
+    let mut crit_gate = None;
+    for &s in sinks {
+        let a = arrival[s as usize];
+        if a > crit {
+            crit = a;
+            crit_gate = Some(GateId::new(s as usize));
+        }
+    }
+    (crit, crit_gate)
+}
 
 /// Result of a static timing analysis pass: per-gate arrival and required
 /// times and slacks against a cycle-time constraint.
@@ -200,6 +234,23 @@ mod tests {
         assert_eq!(sta.required(y), 10.0);
         assert_eq!(sta.required(u), 8.0);
         assert_eq!(sta.required(n.find("a").unwrap()), 5.0);
+    }
+
+    #[test]
+    fn virtual_sinks_include_dangling_gates() {
+        let mut b = NetlistBuilder::new("d");
+        b.input("a").unwrap();
+        b.gate("u", GateKind::Not, &["a"]).unwrap();
+        b.gate("v", GateKind::Buf, &["a"]).unwrap();
+        b.gate("y", GateKind::Nand, &["u", "v"]).unwrap();
+        b.gate("dangle", GateKind::Not, &["u"]).unwrap();
+        b.output("y").unwrap();
+        let n = b.finish().unwrap();
+        let sinks = virtual_sinks(&LevelizedCsr::new(&n));
+        let y = n.find("y").unwrap().index() as u32;
+        let dangle = n.find("dangle").unwrap().index() as u32;
+        assert!(sinks.contains(&y));
+        assert!(sinks.contains(&dangle));
     }
 
     #[test]
